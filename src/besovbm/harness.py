@@ -344,6 +344,15 @@ def _mean_ci(values) -> tuple[float, float]:
     return mean, 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
 
 
+def _wilson_half_width(frac: float, n: int, z: float = 1.96) -> float:
+    """Half-width of the Wilson score interval for a binomial fraction.
+
+    Unlike the Wald interval it keeps a nonzero width at fractions 0 and 1.
+    """
+    z2 = z * z
+    return z * math.sqrt(frac * (1.0 - frac) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
+
+
 def _effectively_scalar(sigma) -> float | None:
     """The single nonzero weight if there is at most one, else None."""
     arr = np.asarray(sigma, dtype=float)
@@ -446,7 +455,8 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Emits the mean partial q-sum seminorm for every cap n, then the fraction
     of paths whose partial q-sum grows by at least the factor of
     :func:`divergence_growth` between the caps ``depth/2`` and ``depth - 6``;
-    that row's verdict requires the fraction to reach ``GROWTH_FRACTION``.  A
+    that row's verdict requires the fraction to reach ``GROWTH_FRACTION`` and
+    its ci is the half-width of the 95 % Wilson score interval.  A
     convergent (smooth) path makes the growth row fail, which is the intended
     discrimination.  The last row compares the mean growth with the
     linear-divergence prediction ``G*``.
@@ -475,12 +485,11 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     predicted, factor = divergence_growth(n_lo, n_hi, p, cfg.q)
     growth = np.asarray(growth)
     frac = float(np.mean(growth >= factor))
-    ci = 1.96 * math.sqrt(max(frac * (1.0 - frac), 1e-12) / len(growth))
     rows.append(
         ResultRow(
             ("growth-fraction", f"n_lo={n_lo}", f"n_hi={n_hi}", f"factor={factor:g}"),
             frac,
-            ci,
+            _wilson_half_width(frac, len(growth)),
             GROWTH_FRACTION,
             _ratio(frac, GROWTH_FRACTION),
             frac >= GROWTH_FRACTION,

@@ -138,6 +138,23 @@ def test_divergence_partial_sums_grow():
     assert growth.ratio == pytest.approx(growth.estimate / predicted, rel=1e-12)
 
 
+def test_divergence_fraction_ci_is_wilson():
+    # every path passes at this seed; the Wilson half-width stays honest at 1
+    result = harness.run(small("divergence", paths=50))
+    fraction = next(row for row in result.rows if row.params[0] == "growth-fraction")
+    assert fraction.estimate == 1.0
+    assert fraction.ci == pytest.approx(0.035675, abs=1e-6)
+    assert harness._wilson_half_width(1.0, 50) == fraction.ci
+    assert harness._wilson_half_width(0.0, 50) == fraction.ci
+    # the interior agrees with the closed form around the Wilson centre
+    z, n, f = 1.96, 40, 0.25
+    centre = (f + z * z / (2 * n)) / (1 + z * z / n)
+    lo = centre - harness._wilson_half_width(f, n)
+    hi = centre + harness._wilson_half_width(f, n)
+    assert (n * f - n * lo) ** 2 == pytest.approx(z * z * n * lo * (1 - lo), rel=1e-9)
+    assert (n * hi - n * f) ** 2 == pytest.approx(z * z * n * hi * (1 - hi), rel=1e-9)
+
+
 def test_divergence_growth_prediction():
     # linear growth of the partial sums: G* = 11/8 up to the (1 - 2^-n) window
     predicted, factor = harness.divergence_growth(9, 12, 2.0, 2.0)
