@@ -9,6 +9,11 @@ norms take suprema of p^(-1/beta)-weighted L^p quantities over integer p.
 
 The scale cap defaults to depth - 6 so that the difference-norm Riemann sum
 at the finest scale still averages at least 64 increments.
+
+Row norms are taken ``NORM_BLOCK`` elements at a time into one preallocated
+vector, so no path-sized temporary (differences, absolute values, squares)
+is ever allocated.  Each row's norm is computed exactly as in a single
+whole-array call, so the blocking never changes a result.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ __all__ = [
 
 SCALE_MARGIN = 6
 DEFAULT_P_MAX = 64
+# Elements per space_norm call in the row-blocked norms: small enough that
+# a block and its temporaries stay in cache.
+NORM_BLOCK = 2**14
 
 
 def default_n_max(depth: int) -> int:
@@ -89,6 +97,27 @@ def _interval_indices(path: PathSample, sub_interval) -> tuple[int, int]:
     return ka, kb
 
 
+def row_blocks(rows: int, dim: int):
+    """``(lo, hi)`` row ranges of about ``NORM_BLOCK`` elements covering ``rows``."""
+    step = max(NORM_BLOCK // dim, 1)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Norms of the rows of ``values``, or of ``values[k + shift] - values[k]``.
+
+    With a positive shift there are ``len(values) - shift`` rows.  Computed
+    block by block into one output vector.
+    """
+    rows = values.shape[0] - shift
+    out = np.empty(rows)
+    for lo, hi in row_blocks(rows, space.dim):
+        block = values[lo + shift : hi + shift] - values[lo:hi] if shift else values[lo:hi]
+        out[lo:hi] = space_norm(space, block)
+    return out
+
+
 def _reduce_lp(norms: np.ndarray, weight: float, p: float) -> float:
     if math.isinf(p):
         return float(norms.max()) if norms.size else 0.0
@@ -103,17 +132,13 @@ def lp_norm_path(path: PathSample, p: float, sub_interval=(0.0, 1.0)) -> float:
     if not p >= 1.0:
         raise ValueError("p must lie in [1, inf]")
     ka, kb = _interval_indices(path, sub_interval)
-    norms = np.atleast_1d(space_norm(path.space, path.values[ka:kb]))
-    return _reduce_lp(norms, 2.0**-path.depth, p)
+    return _reduce_lp(_row_norms(path.space, path.values[ka:kb]), 2.0**-path.depth, p)
 
 
 def _increment_norms(path: PathSample, n: int) -> np.ndarray:
     if not 1 <= n <= path.depth:
         raise ValueError("scale n must lie in [1, depth]")
-    shift = 1 << (path.depth - n)
-    total = path.grid_size
-    diff = path.values[shift:total] - path.values[: total - shift]
-    return np.atleast_1d(space_norm(path.space, diff))
+    return _row_norms(path.space, path.values[: path.grid_size], 1 << (path.depth - n))
 
 
 def dyadic_increment_lp(path: PathSample, n: int, p: float) -> float:
@@ -158,11 +183,16 @@ def besov_norm(path: PathSample, params: BesovParams) -> NormReport:
 
 
 def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarray:
-    """L^p norms for p = 1..p_max from one pass of running powers."""
+    """L^p norms for p = 1..p_max from one pass of running powers.
+
+    The running power ``norms**p`` is updated in place, one multiply per
+    element and power.
+    """
     out = np.empty(p_max)
-    run = np.ones_like(norms)
+    run = np.array(norms)
     for p in range(1, p_max + 1):
-        run = run * norms
+        if p > 1:
+            np.multiply(run, norms, out=run)
         out[p - 1] = (weight * run.sum()) ** (1.0 / p)
     return out
 
@@ -176,8 +206,7 @@ def exp_orlicz_lp_norm(
     if beta <= 0:
         raise ValueError("beta must be positive")
     ka, kb = _interval_indices(path, sub_interval)
-    norms = np.atleast_1d(space_norm(path.space, path.values[ka:kb]))
-    lp = integer_p_lp_norms(norms, 2.0**-path.depth, p_max)
+    lp = integer_p_lp_norms(_row_norms(path.space, path.values[ka:kb]), 2.0**-path.depth, p_max)
     ps = np.arange(1, p_max + 1)
     return float(np.max(ps ** (-1.0 / beta) * lp))
 
@@ -194,8 +223,7 @@ def integer_p_besov_totals(
     if n_max is None:
         n_max = default_n_max(path.depth)
     weight = 2.0**-path.depth
-    value_norms = np.atleast_1d(space_norm(path.space, path.values[: path.grid_size]))
-    lp = integer_p_lp_norms(value_norms, weight, p_max)
+    lp = integer_p_lp_norms(_row_norms(path.space, path.values[: path.grid_size]), weight, p_max)
     sup_terms = np.zeros(p_max)
     for n in range(1, n_max + 1):
         d_n = integer_p_lp_norms(_increment_norms(path, n), weight, p_max)
@@ -228,7 +256,7 @@ def luxemburg_function_norm(path: PathSample, beta: float) -> float:
     """
     if beta < 1:
         raise ValueError("beta must be at least 1")
-    norms = np.atleast_1d(space_norm(path.space, path.values[: path.grid_size]))
+    norms = _row_norms(path.space, path.values[: path.grid_size])
     peak = float(norms.max())
     if peak == 0.0:
         return 0.0

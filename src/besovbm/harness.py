@@ -31,7 +31,16 @@ from . import besov
 from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
 from .maxima import EstimateReport, empirical_sup_mean
 from .simulate import GaussianVarSpec, EnsembleSpec, PathSample, RngSeed, gaussian_abs_moment, sample_bm
-from .spaces import SpaceSpec, diag_weak_variance, dual_exponent, dual_net, finite_lq, iw_norm, truncated_lp
+from .spaces import (
+    SpaceSpec,
+    diag_weak_variance,
+    dual_exponent,
+    dual_net,
+    finite_lq,
+    iw_norm,
+    space_norm,
+    truncated_lp,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -368,7 +377,9 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
     """c_p = (E|W(1)|^p)^(1/p) for each requested p, plus p = 1.
 
     Analytic for an effectively scalar weight sequence; a single Monte Carlo
-    batch of 1e5 draws of W(1) otherwise.
+    batch of 1e5 draws of W(1) otherwise, drawn, weighted and normed in row
+    blocks (the draws follow one another on the stream, so the blocks give
+    the same numbers as one whole-batch draw).
     """
     wanted = sorted(set(float(p) for p in p_values) | {1.0})
     scale = _effectively_scalar(sigma)
@@ -376,10 +387,12 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
         return {p: scale * gaussian_abs_moment(p) for p in wanted}
     var = GaussianVarSpec(space, tuple(np.asarray(sigma, dtype=float)))
     sig = var.padded_sigma()
-    g = seed.generator().standard_normal((REFERENCE_MC_SAMPLES, space.dim))
-    from .spaces import space_norm
-
-    norms = space_norm(space, g * sig)
+    gen = seed.generator()
+    norms = np.empty(REFERENCE_MC_SAMPLES)
+    for lo, hi in besov.row_blocks(REFERENCE_MC_SAMPLES, space.dim):
+        g = gen.standard_normal((hi - lo, space.dim))
+        g *= sig
+        norms[lo:hi] = space_norm(space, g)
     return {p: float(np.mean(norms**p) ** (1.0 / p)) for p in wanted}
 
 

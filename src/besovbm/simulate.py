@@ -105,6 +105,7 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
 
     Coordinate n of an increment over one grid step is N(0, 2^-N sigma_n^2);
     the returned values are exact in law at the grid points and start at 0.
+    The increments are drawn, scaled and summed in place in the output array.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [1, {MAX_DEPTH}]")
@@ -113,11 +114,12 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
         raise ValueError("sigma is longer than the space dimension")
     scale = np.zeros(space.dim)
     scale[: w.size] = w
-    n = 1 << depth
-    g = seed.generator().standard_normal((n, space.dim))
-    g *= scale * 2.0 ** (-depth / 2.0)
-    values = np.zeros((n + 1, space.dim))
-    np.cumsum(g, axis=0, out=values[1:])
+    values = np.empty(((1 << depth) + 1, space.dim))
+    values[0] = 0.0
+    steps = values[1:]
+    seed.generator().standard_normal(out=steps)
+    steps *= scale * 2.0 ** (-depth / 2.0)
+    np.cumsum(steps, axis=0, out=steps)
     return PathSample(space, depth, values)
 
 

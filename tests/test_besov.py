@@ -6,7 +6,7 @@ import pytest
 from besovbm import besov
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
-from besovbm.spaces import finite_lq, truncated_lp
+from besovbm.spaces import finite_lq, space_norm, truncated_lp
 
 SCALAR = finite_lq(1, 2.0)
 
@@ -261,3 +261,63 @@ def test_partial_qsum_growth_separates_bm_from_smooth_paths():
     terms = np.array([2.0 ** (m / 2.0) * besov.dyadic_increment_lp(lin, m, 2.0) for m in range(1, n_hi + 1)])
     sums = np.cumsum(terms**2)
     assert sums[n_hi - 1] / sums[n_lo - 1] < 1.05
+
+
+# --- row-blocked and in-place kernels against their whole-array references ----
+
+
+def _reference_power_norms(norms, weight, p_max):
+    # allocate-per-power loop
+    out = np.empty(p_max)
+    run = np.ones_like(norms)
+    for p in range(1, p_max + 1):
+        run = run * norms
+        out[p - 1] = (weight * run.sum()) ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 7, 4097])
+def test_integer_p_lp_norms_matches_allocating_loop(size):
+    norms = np.random.default_rng(size).random(size) * 3.0
+    before = norms.copy()
+    got = besov.integer_p_lp_norms(norms, 2.0**-12, 64)
+    assert np.array_equal(got, _reference_power_norms(norms, 2.0**-12, 64))
+    assert np.array_equal(norms, before)  # the input is left untouched
+
+
+BLOCK_DIMS = [1, 3, 16, 17]
+BLOCK_EXPONENTS = [1.0, 2.0, 3.0, math.inf]
+
+
+@pytest.mark.parametrize("dim", BLOCK_DIMS)
+@pytest.mark.parametrize("exponent", BLOCK_EXPONENTS)
+def test_row_norms_match_whole_array(dim, exponent):
+    space = truncated_lp(exponent, dim)
+    rows = 2 * besov.NORM_BLOCK + 3  # a multiple of no block size
+    assert rows % max(besov.NORM_BLOCK // dim, 1) != 0
+    values = np.random.default_rng(dim).standard_normal((rows, dim))
+    assert np.array_equal(besov._row_norms(space, values), np.atleast_1d(space_norm(space, values)))
+    for shift in (1, 5, besov.NORM_BLOCK + 1):
+        whole = space_norm(space, values[shift:] - values[:-shift])
+        assert np.array_equal(besov._row_norms(space, values, shift), whole)
+
+
+@pytest.mark.parametrize("dim", BLOCK_DIMS)
+@pytest.mark.parametrize("exponent", BLOCK_EXPONENTS)
+def test_increment_and_value_norms_match_whole_array(dim, exponent):
+    space = truncated_lp(exponent, dim)
+    path = sample_bm(space, tuple(0.8 ** np.arange(dim)), 15, RngSeed(dim, 1))
+    n = path.grid_size
+    for scale in range(1, path.depth + 1):
+        s = 1 << (path.depth - scale)
+        whole = np.atleast_1d(space_norm(space, path.values[s:n] - path.values[: n - s]))
+        assert np.array_equal(besov._increment_norms(path, scale), whole)
+    # integer_p_besov_totals built from whole-array norms and the allocating loop
+    weight = 2.0**-path.depth
+    lp = _reference_power_norms(space_norm(space, path.values[:n]), weight, 16)
+    sup_terms = np.zeros(16)
+    for scale in range(1, 10):
+        s = 1 << (path.depth - scale)
+        d_n = _reference_power_norms(space_norm(space, path.values[s:n] - path.values[: n - s]), weight, 16)
+        np.maximum(sup_terms, 2.0 ** (scale * 0.5) * d_n, out=sup_terms)
+    assert np.array_equal(besov.integer_p_besov_totals(path, 0.5, 16, 9), lp + sup_terms)

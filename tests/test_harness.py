@@ -7,7 +7,7 @@ import pytest
 from besovbm import besov, harness
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
-from besovbm.spaces import finite_lq, truncated_lp
+from besovbm.spaces import finite_lq, space_norm, truncated_lp
 
 
 def small(experiment, **overrides):
@@ -336,3 +336,18 @@ def test_svg_output_is_deterministic(tmp_path):
         blobs.append(open(svg, "rb").read())
     assert blobs[0] == blobs[1]
     assert blobs[0].startswith(b"<svg")
+
+
+# --- reference moments and the per-path pool -------------------------------------
+
+
+@pytest.mark.parametrize("space", [truncated_lp(2.0, 3), truncated_lp(1.0, 16), truncated_lp(math.inf, 17)])
+def test_reference_moments_match_one_shot_draw(space):
+    sigma = tuple(0.7 ** np.arange(space.dim))
+    seed = RngSeed(3, 500_001)
+    # reference: the whole 1e5 x dim batch in one draw
+    g = seed.generator().standard_normal((harness.REFERENCE_MC_SAMPLES, space.dim))
+    norms = space_norm(space, g * np.asarray(sigma))
+    want = {p: float(np.mean(norms**p) ** (1.0 / p)) for p in (1.0, 2.0, 4.0, 8.0)}
+    assert harness._reference_moments(space, sigma, (1, 2, 4, 8), seed) == want
+

@@ -142,3 +142,17 @@ def test_seed_validation():
         RngSeed(-1)
     with pytest.raises(ValueError):
         RngSeed(3, -2)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16])
+def test_sample_bm_matches_draw_then_cumsum(dim):
+    space = truncated_lp(2.0, dim)
+    sigma = tuple(0.7 ** np.arange(dim))
+    seed = RngSeed(20260808, 5)
+    depth = 12
+    # reference: a separate increments array, summed into the values
+    g = seed.generator().standard_normal((1 << depth, dim))
+    g *= np.asarray(sigma) * 2.0 ** (-depth / 2.0)
+    values = np.zeros(((1 << depth) + 1, dim))
+    np.cumsum(g, axis=0, out=values[1:])
+    assert np.array_equal(sample_bm(space, sigma, depth, seed).values, values)
