@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -351,3 +353,52 @@ def test_reference_moments_match_one_shot_draw(space):
     want = {p: float(np.mean(norms**p) ** (1.0 / p)) for p in (1.0, 2.0, 4.0, 8.0)}
     assert harness._reference_moments(space, sigma, (1, 2, 4, 8), seed) == want
 
+
+def _bounded(fn, seconds=120.0):
+    """Run ``fn`` in a thread with a deadline and a short switch interval."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed to the caller below
+            out["error"] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(seconds)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), f"did not finish within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_moments_report_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = small("moments", paths=4, depth=12)
+    reports = []
+    for workers in (1, 3):  # 3 is more threads than this suite assumes cores
+        monkeypatch.setattr(harness, "worker_count", lambda: workers)
+        result = _bounded(lambda: harness.run(cfg))
+        (path,) = harness.emit_report(result, tmp_path / f"moments-{workers}")
+        with open(path, "rb") as handle:
+            reports.append(handle.read())
+    assert reports[0] == reports[1]
+
+
+def test_moments_path_task_error_reaches_caller(monkeypatch):
+    real = harness.integer_p_besov_totals
+
+    def failing(path, *args):
+        if math.isinf(path.space.exponent):
+            raise RuntimeError("injected path failure")
+        return real(path, *args)
+
+    monkeypatch.setattr(harness, "integer_p_besov_totals", failing)
+    monkeypatch.setattr(harness, "worker_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="injected path failure"):
+        _bounded(lambda: harness.run(small("moments", paths=4, depth=12)))
