@@ -360,13 +360,13 @@ def _mean_ci(values) -> tuple[float, float]:
     return mean, 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
 
 
-def _wilson_half_width(frac: float, n: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson score interval for a binomial fraction.
+def _wilson_half_width(frac: float, n: int) -> float:
+    """Half-width of the 95 % Wilson score interval for a binomial fraction.
 
     Unlike the Wald interval it keeps a nonzero width at fractions 0 and 1.
     """
-    z2 = z * z
-    return z * math.sqrt(frac * (1.0 - frac) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
+    z2 = 1.96 * 1.96
+    return 1.96 * math.sqrt(frac * (1.0 - frac) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
 
 
 def _effectively_scalar(sigma) -> float | None:
