@@ -381,7 +381,7 @@ def _bounded(fn, seconds=120.0):
 def test_moments_report_independent_of_worker_count(tmp_path, monkeypatch):
     cfg = small("moments", paths=4, depth=12)
     reports = []
-    for workers in (1, 3):  # 3 is more threads than this suite assumes cores
+    for workers in (1, 3):  # serial, and more threads than a two-core machine has
         monkeypatch.setattr(harness, "worker_count", lambda: workers)
         result = _bounded(lambda: harness.run(cfg))
         (path,) = harness.emit_report(result, tmp_path / f"moments-{workers}")
