@@ -20,7 +20,7 @@ import numpy as np
 
 from . import besov, harness, orlicz
 from .simulate import PathSample, RngSeed, sample_bm
-from .spaces import finite_lq, truncated_lp
+from .spaces import SpaceSpec, finite_lq, parse_exponent
 
 EXPERIMENT_COMMANDS = {
     "bm-limit": "scaled dyadic increment norms against the moment of |W(1)|",
@@ -30,20 +30,6 @@ EXPERIMENT_COMMANDS = {
     "tau": "empirical minimum of the Besov norm (small-ball probe)",
     "increment-variance": "weak variance of lag-c increments in L^p",
 }
-
-
-def _parse_exponent(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
-
-
-def _build_space(kind: str, exponent: float, dim: int):
-    if kind == "finite_lq":
-        return finite_lq(dim, exponent)
-    if kind == "truncated_lp":
-        return truncated_lp(exponent, dim)
-    raise SystemExit(f"error: unknown space kind {kind!r}")
 
 
 def _read_sequence(args) -> np.ndarray:
@@ -95,17 +81,16 @@ def _cmd_besov_norm(args) -> int:
     if args.path_csv:
         space = None
         if args.space_kind:
-            space = _build_space(args.space_kind, _parse_exponent(args.space_p), args.space_dim)
+            space = SpaceSpec(args.space_kind, parse_exponent(args.space_p), args.space_dim)
         path = read_path_csv(args.path_csv, space)
     else:
-        space = _build_space(args.space_kind or "finite_lq",
-                             _parse_exponent(args.space_p), args.space_dim)
+        space = SpaceSpec(args.space_kind or "finite_lq", parse_exponent(args.space_p), args.space_dim)
         sigma = [float(t) for t in args.sigma.split(",") if t.strip()]
         path = sample_bm(space, sigma, args.depth, RngSeed(args.seed, args.stream))
         if args.dump_path:
             write_path_csv(path, args.dump_path)
     n_max = args.n_max or besov.default_n_max(path.depth)
-    params = besov.BesovParams(args.alpha, args.p, _parse_exponent(args.q), n_max)
+    params = besov.BesovParams(args.alpha, args.p, parse_exponent(args.q), n_max)
     report = besov.besov_norm(path, params)
     payload = {
         "alpha": args.alpha,
@@ -125,8 +110,7 @@ def _cmd_besov_norm(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> harness.ExperimentConfig:
-    mapping = harness.parse_config_file(args.config) if args.config else {}
+def _experiment_config(args, mapping: dict) -> harness.ExperimentConfig:
     cfg = harness.config_from_mapping(args.experiment, mapping)
     if args.seed is not None:
         cfg = replace(cfg, seed=RngSeed(args.seed, cfg.seed.stream))
@@ -144,21 +128,11 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
     mapping = harness.parse_config_file(args.config) if args.config else {}
-    ensembles = harness.ensembles_from_mapping(mapping) or None
-    if cfg.experiment == "maximal":
-        pairs = harness.run_maximal_experiment(cfg, ensembles)
-        result = harness._maximal_result(pairs)
-        if cfg.out_path:
-            harness.emit_maximal_csv(pairs, cfg.out_path + ".csv")
-            extra = tuple(f for f in cfg.formats if f != "csv")
-            if extra:
-                harness.emit_report(result, cfg.out_path, extra)
-    else:
-        result = harness.run(cfg)
-        if cfg.out_path:
-            harness.emit_report(result, cfg.out_path, cfg.formats)
+    cfg = _experiment_config(args, mapping)
+    result = harness.run(cfg, harness.ensembles_from_mapping(mapping) or None)
+    if cfg.out_path:
+        harness.emit_report(result, cfg.out_path, cfg.formats)
     for row in result.rows:
         status = "PASS" if row.verdict else "FAIL"
         label = " ".join(row.params)

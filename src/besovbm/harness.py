@@ -7,21 +7,21 @@ alone.  Reports are written as CSV (fixed header), a structured-text (JSON)
 mirror, and an optional SVG plot.  Full determinism: identical configs,
 including the seed, give byte-identical report files.
 
-The moment experiment runs its paths on a thread pool sized by
-:func:`worker_count` (one thread per usable CPU) and collects them in path
-order; the other drivers loop over their paths serially.  Either way the
+The path experiments (bm-limit, divergence, moments, tau) sample their
+paths and take a per-path statistic through one driver, :func:`map_paths`.
+Every random quantity has a fixed stream, so the partition of work across
+workers cannot change a result:
+
+* path ``i`` of space model ``s`` draws stream ``1 + s * paths + i``
+  (the single-space experiments have the one model ``s = 0``);
+* reference moments of ``|W(1)|`` draw stream 0, or ``500_000 + s`` for
+  model ``s`` of the moment experiment;
+* the supremum pass of ensemble ``k`` in the maximal experiment draws
+  stream ``1000 * (k + 1)``, with per-variable mean passes offset from there.
+
+Only the moment experiment runs its paths on a thread pool (see
+:func:`run_moment_experiment`); the pool returns them in path order, so the
 report does not depend on the number of workers.
-
-Stream layout (the partition of work across workers must not change
-results, so every random quantity has a fixed stream):
-
-* stream 0 within the config's base stream: auxiliary Monte Carlo for
-  reference moments of ``|W(1)|``;
-* streams ``1 + i``: Brownian path number ``i`` (single-space experiments);
-* streams ``1 + s * paths + i``: path ``i`` of space model ``s`` and
-  ``500_000 + s`` for its reference moments (moment experiment);
-* streams ``1000 * (k + 1)``: the supremum pass of ensemble ``k`` in the
-  maximal experiment, with per-variable mean passes offset from there.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ import numpy as np
 
 from . import besov
 from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
-from .maxima import EstimateReport, empirical_sup_mean
+from .maxima import empirical_sup_mean
 from .simulate import GaussianVarSpec, EnsembleSpec, PathSample, RngSeed, gaussian_abs_moment, sample_bm
 from .spaces import (
     SpaceSpec,
-    diag_weak_variance,
     dual_exponent,
     dual_net,
     finite_lq,
     iw_norm,
+    padded_weights,
+    parse_exponent,
     space_norm,
     truncated_lp,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "config_from_mapping",
     "ensembles_from_mapping",
     "run",
+    "map_paths",
     "run_limit_experiment",
     "run_divergence_experiment",
     "divergence_growth",
@@ -223,12 +225,6 @@ def parse_config_file(path) -> dict:
         return parse_config_text(handle.read())
 
 
-def _parse_exponent(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
-
-
 def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -239,14 +235,11 @@ def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> Spac
     dim = mapping.get(prefix + "dim")
     if kind is None and p is None and dim is None:
         return fallback
-    kind = kind or fallback.kind
-    exponent = _parse_exponent(p) if p is not None else fallback.exponent
-    dimension = int(dim) if dim is not None else fallback.dim
-    if kind == "finite_lq":
-        return finite_lq(dimension, exponent)
-    if kind == "truncated_lp":
-        return truncated_lp(exponent, dimension)
-    raise ValueError(f"unknown space kind {kind!r}")
+    return SpaceSpec(
+        kind or fallback.kind,
+        parse_exponent(p) if p is not None else fallback.exponent,
+        int(dim) if dim is not None else fallback.dim,
+    )
 
 
 def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED) -> ExperimentConfig:
@@ -264,7 +257,7 @@ def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED
     if "p.list" in mapping:
         cfg = replace(cfg, p_list=_parse_floats(mapping["p.list"]))
     if "q" in mapping:
-        cfg = replace(cfg, q=_parse_exponent(mapping["q"]))
+        cfg = replace(cfg, q=parse_exponent(mapping["q"]))
     if "beta" in mapping:
         cfg = replace(cfg, beta=float(mapping["beta"]))
     if "p.max" in mapping:
@@ -335,6 +328,7 @@ class ResultRow:
     reference: float | None
     ratio: float | None
     verdict: bool
+    lower: float | None = None  # the maximal experiment's lower bound (reference is the upper)
 
 
 @dataclass(frozen=True)
@@ -392,8 +386,7 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
     scale = _effectively_scalar(sigma)
     if scale is not None:
         return {p: scale * gaussian_abs_moment(p) for p in wanted}
-    var = GaussianVarSpec(space, tuple(np.asarray(sigma, dtype=float)))
-    sig = var.padded_sigma()
+    sig = padded_weights(space, sigma)
     gen = seed.generator()
     norms = np.empty(REFERENCE_MC_SAMPLES)
     for lo, hi in besov.row_blocks(REFERENCE_MC_SAMPLES, space.dim):
@@ -415,11 +408,50 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> list:
+    """``statistic(path)`` for ``cfg.paths`` paths of each ``(space, sigma)`` model.
+
+    Returns one list per model, in path order.  Path ``i`` of model ``s``
+    draws stream ``1 + s * cfg.paths + i``.  With more than one worker the
+    paths run on a thread pool (numpy releases the interpreter lock inside
+    its kernels); values and exceptions come back in path order either way,
+    so the result does not depend on the worker count.
+    """
+    tasks = [(s, i) for s in range(len(models)) for i in range(cfg.paths)]
+
+    def draw(task):
+        s, i = task
+        space, sigma = models[s]
+        return sample_bm(space, sigma, cfg.depth, cfg.seed.with_stream(1 + s * cfg.paths + i))
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(lambda task: statistic(draw(task)), tasks))
+    else:
+        values = []
+        for task in tasks:
+            # The previous path stays alive while the next one is drawn.
+            # Freeing it first, as statistic(draw(task)) does, raised the
+            # minor page faults of a divergence run (50 paths, depth 18) from
+            # 198 k to 346 k and its wall time from 1.17 to 1.34 s.
+            path = draw(task)
+            values.append(statistic(path))
+    return [values[s * cfg.paths : (s + 1) * cfg.paths] for s in range(len(models))]
+
+
 def _check_scales(cfg: ExperimentConfig, scales) -> None:
     cap = cfg.depth - SCALE_MARGIN
     bad = [n for n in scales if not 1 <= n <= cap]
     if bad:
         raise ValueError(f"scales {bad} exceed the trusted range [1, depth - {SCALE_MARGIN}] = [1, {cap}]")
+
+
+def _integer_exponents(cfg: ExperimentConfig, p_cap: float = math.inf) -> list:
+    """The config's exponents as ints; each must be an integer in [1, p_cap]."""
+    p_ints = [int(round(p)) for p in cfg.p_list]
+    if any(abs(p - k) > 1e-12 or not 1 <= k <= p_cap for p, k in zip(cfg.p_list, p_ints)):
+        raise ValueError(f"{cfg.experiment} exponents must be integers in [1, {p_cap:g}]")
+    return p_ints
 
 
 def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -432,18 +464,20 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     scales = cfg.scales or (cfg.depth - SCALE_MARGIN,)
     _check_scales(cfg, scales)
     refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, cfg.seed.with_stream(0))
-    samples = {(n, p): [] for n in scales for p in cfg.p_list}
-    for i in range(cfg.paths):
-        path = sample_bm(cfg.space, cfg.sigma, cfg.depth, cfg.seed.with_stream(1 + i))
+
+    def statistic(path):
+        ys = []
         for n in scales:
             norms = besov._increment_norms(path, n)
-            for p in cfg.p_list:
-                y = 2.0 ** (n / 2.0) * besov._reduce_lp(norms, 2.0**-cfg.depth, p)
-                samples[(n, p)].append(y)
+            ys.extend(2.0 ** (n / 2.0) * besov._reduce_lp(norms, 2.0**-cfg.depth, p) for p in cfg.p_list)
+        return ys
+
+    (samples,) = map_paths(cfg, [(cfg.space, cfg.sigma)], statistic)
+    samples = np.array(samples).reshape(cfg.paths, len(scales), len(cfg.p_list))
     rows = []
-    for n in scales:
-        for p in cfg.p_list:
-            estimate, ci = _mean_ci(samples[(n, p)])
+    for a, n in enumerate(scales):
+        for b, p in enumerate(cfg.p_list):
+            estimate, ci = _mean_ci(samples[:, a, b])
             ref = refs[float(p)]
             ratio = _ratio(estimate, ref)
             verdict = abs(ratio - 1.0) <= LIMIT_RTOL if ref > 0 else estimate == 0.0
@@ -496,21 +530,20 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("depth too small for the divergence probe")
     p = cfg.p_list[0] if cfg.p_list else 2.0
     alpha = 0.5
-    partial = {n: [] for n in range(1, n_hi + 1)}
-    growth = []
-    for i in range(cfg.paths):
-        path = sample_bm(cfg.space, cfg.sigma, cfg.depth, cfg.seed.with_stream(1 + i))
-        terms = besov._weighted_scale_terms(path, alpha, p, n_hi)
-        sums = np.cumsum(terms**cfg.q)
-        for n in range(1, n_hi + 1):
-            partial[n].append(sums[n - 1] ** (1.0 / cfg.q))
-        growth.append(_ratio(float(sums[n_hi - 1]), float(sums[n_lo - 1])))
+
+    def statistic(path):
+        sums = np.cumsum(besov._weighted_scale_terms(path, alpha, p, n_hi) ** cfg.q)
+        partial = [sums[n - 1] ** (1.0 / cfg.q) for n in range(1, n_hi + 1)]
+        return partial + [_ratio(float(sums[n_hi - 1]), float(sums[n_lo - 1]))]
+
+    (values,) = map_paths(cfg, [(cfg.space, cfg.sigma)], statistic)
+    values = np.array(values).reshape(cfg.paths, n_hi + 1)
     rows = []
     for n in range(1, n_hi + 1):
-        estimate, ci = _mean_ci(partial[n])
+        estimate, ci = _mean_ci(values[:, n - 1])
         rows.append(ResultRow((f"n_max={n}", f"p={p:g}", f"q={cfg.q:g}"), estimate, ci, None, None, True))
     predicted, factor = divergence_growth(n_lo, n_hi, p, cfg.q)
-    growth = np.asarray(growth)
+    growth = values[:, n_hi]
     frac = float(np.mean(growth >= factor))
     rows.append(
         ResultRow(
@@ -522,12 +555,12 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             frac >= GROWTH_FRACTION,
         )
     )
-    mean_growth = float(growth.mean())
+    mean_growth, ci = _mean_ci(growth)
     rows.append(
         ResultRow(
             ("mean-growth", f"n_lo={n_lo}", f"n_hi={n_hi}"),
             mean_growth,
-            1.96 * float(growth.std(ddof=1)) / math.sqrt(len(growth)),
+            ci,
             predicted,
             _ratio(mean_growth, predicted),
             True,
@@ -557,30 +590,24 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.paths < 2:
         raise ValueError("at least two paths are required")
-    p_ints = []
-    for p in cfg.p_list:
-        if abs(p - round(p)) > 1e-12 or not 1 <= round(p) <= cfg.p_max:
-            raise ValueError("moment experiment exponents must be integers within p_max")
-        p_ints.append(int(round(p)))
+    p_ints = _integer_exponents(cfg, cfg.p_max)
     n_max = besov.default_n_max(cfg.depth)
     weights = np.arange(1, cfg.p_max + 1) ** (-1.0 / cfg.beta)
     models = _moment_space_models(cfg)
-
-    def profile(task):
-        s, i = task
-        _, space, sigma = models[s]
-        path = sample_bm(space, sigma, cfg.depth, cfg.seed.with_stream(1 + s * cfg.paths + i))
-        return integer_p_besov_totals(path, 0.5, cfg.p_max, n_max)
-
-    # Paths run on a thread pool; numpy releases the interpreter lock inside
-    # its kernels.  Each path draws from its own stream and pool.map returns
-    # the profiles in task order, so the report does not depend on the
-    # worker count.  bm-limit, divergence and tau stay serial: pooling them
-    # raised their peak memory by 12 % and their CPU time by 17 %.  They move
-    # onto a pool once one per-path driver serves every experiment.
-    tasks = [(s, i) for s in range(len(models)) for i in range(cfg.paths)]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        profiles = np.array(list(pool.map(profile, tasks))).reshape(len(models), cfg.paths, cfg.p_max)
+    # Only this experiment pools its paths.  Pooling bm-limit, divergence and
+    # tau as well (2 vCPUs, 24-s benchmark runs, seeds 31-33) cut the
+    # scalar-paths wall time from 3.73 to 2.57 s but raised its CPU time
+    # from 3.73 to 4.45 s (+19 %) and its peak RSS from 63.9 to 73.6 MB
+    # (+15 %); with MALLOC_ARENA_MAX=1 the peak stayed at 73.9 MB, so the
+    # cost is the second path in flight, not allocator retention.
+    profiles = np.array(
+        map_paths(
+            cfg,
+            [(space, sigma) for _, space, sigma in models],
+            lambda path: integer_p_besov_totals(path, 0.5, cfg.p_max, n_max),
+            workers=worker_count(),
+        )
+    )
     rows = []
     for s, (label, space, sigma) in enumerate(models):
         refs = _reference_moments(space, sigma, p_ints, cfg.seed.with_stream(500_000 + s))
@@ -623,19 +650,17 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.paths < 500:
         raise ValueError("the tau probe needs at least 500 paths")
-    p_ints = []
-    for p in cfg.p_list:
-        if abs(p - round(p)) > 1e-12:
-            raise ValueError("tau experiment exponents must be integers")
-        p_ints.append(int(round(p)))
+    p_ints = _integer_exponents(cfg)
     p_max = max(p_ints)
     n_max = besov.default_n_max(cfg.depth)
     refs = _reference_moments(cfg.space, cfg.sigma, p_ints, cfg.seed.with_stream(0))
-    totals = np.empty((cfg.paths, len(p_ints)))
-    for i in range(cfg.paths):
-        path = sample_bm(cfg.space, cfg.sigma, cfg.depth, cfg.seed.with_stream(1 + i))
+
+    def statistic(path):
         profile = integer_p_besov_totals(path, 0.5, p_max, n_max)
-        totals[i] = [profile[p - 1] for p in p_ints]
+        return [profile[p - 1] for p in p_ints]
+
+    (totals,) = map_paths(cfg, [(cfg.space, cfg.sigma)], statistic)
+    totals = np.array(totals)
     rows = []
     for j, p in enumerate(p_ints):
         minimum = float(totals[:, j].min())
@@ -682,9 +707,7 @@ def exact_test_functional_moment(space, sigma, depth, j, xstar=None) -> tuple[fl
     ``(discrete, closed)`` where ``closed = (2/3) c^3 |i_W^* x*|^2`` and
     ``|i_W^* x*|^2 = sum_n sigma_n^2 (x*_n)^2``.
     """
-    sig = np.zeros(space.dim)
-    w = np.asarray(sigma, dtype=float)
-    sig[: w.size] = w
+    sig = padded_weights(space, sigma)
     if xstar is None:
         xs = np.zeros(space.dim)
         xs[int(np.argmax(sig))] = 1.0
@@ -712,9 +735,7 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
         if not 1 <= j <= cfg.depth:
             raise ValueError("each lag exponent must lie in [1, depth]")
     net = dual_net(cfg.space, max(64, 2 * cfg.space.dim), cfg.seed.with_stream(0))
-    sig = np.zeros(cfg.space.dim)
-    w = np.asarray(cfg.sigma, dtype=float)
-    sig[: w.size] = w
+    sig = padded_weights(cfg.space, cfg.sigma)
     iw = iw_norm(cfg.space, cfg.sigma)
     rows = []
     for j in js:
@@ -781,6 +802,7 @@ def _maximal_result(pairs) -> ExperimentResult:
                 report.upper_bound,
                 _ratio(report.estimate, report.upper_bound),
                 report.verdict,
+                report.lower_bound,
             )
         )
     return ExperimentResult("maximal", tuple(rows))
@@ -820,12 +842,17 @@ def _fmt(x) -> str:
 
 
 def _csv_lines(result: ExperimentResult):
-    yield CSV_HEADER
+    """The standard layout, or config_id, estimate, ci, lower, upper, verdict for maximal."""
+    maximal = result.experiment == "maximal"
+    yield MAXIMAL_CSV_HEADER if maximal else CSV_HEADER
     for row in result.rows:
-        params = list(row.params)[:4] + [""] * (4 - min(len(row.params), 4))
-        cells = [result.experiment, *params, _fmt(row.estimate), _fmt(row.ci), _fmt(row.reference),
-                 _fmt(row.ratio), "pass" if row.verdict else "fail"]
-        yield ",".join(cells)
+        if maximal:
+            cells = [row.params[0], _fmt(row.estimate), _fmt(row.ci), _fmt(row.lower), _fmt(row.reference)]
+        else:
+            params = list(row.params)[:4] + [""] * (4 - min(len(row.params), 4))
+            cells = [result.experiment, *params, _fmt(row.estimate), _fmt(row.ci), _fmt(row.reference),
+                     _fmt(row.ratio)]
+        yield ",".join([*cells, "pass" if row.verdict else "fail"])
 
 
 def _json_payload(result: ExperimentResult) -> dict:
@@ -905,13 +932,12 @@ def _svg_text(result: ExperimentResult) -> str:
 def emit_report(result: ExperimentResult, out_base, formats=("csv",)) -> list:
     """Write the result in the requested formats next to ``out_base``.
 
-    ``csv`` writes ``<out_base>.csv`` with the fixed header, ``json-text``
+    ``csv`` writes ``<out_base>.csv`` with a fixed header (``maximal`` has
+    its own, with lower and upper bound columns), ``json-text``
     a structured-text mirror ``<out_base>.json``, ``svg`` a line/scatter
     plot ``<out_base>.svg``.  Output is byte-identical for identical
     results.  I/O failures propagate with the path in the message.
     """
-    import os
-
     out_base = os.fspath(out_base)
     parent = os.path.dirname(out_base)
     if parent:
@@ -939,26 +965,9 @@ def emit_report(result: ExperimentResult, out_base, formats=("csv",)) -> list:
 
 
 def emit_maximal_csv(pairs, path) -> str:
-    """CSV for the maximal experiment: config_id, estimate, ci, lower, upper, verdict."""
-    import os
+    """Write the maximal experiment's CSV report for ``pairs`` to ``path``.
 
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    lines = [MAXIMAL_CSV_HEADER]
-    for config_id, report in pairs:
-        lines.append(
-            ",".join(
-                [
-                    config_id,
-                    _fmt(report.estimate),
-                    _fmt(report.ci_half_width),
-                    _fmt(report.lower_bound),
-                    _fmt(report.upper_bound),
-                    "pass" if report.verdict else "fail",
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return os.fspath(path)
+    ``.csv`` is appended when ``path`` lacks it; returns the written path.
+    """
+    (written,) = emit_report(_maximal_result(pairs), os.fspath(path).removesuffix(".csv"), ("csv",))
+    return written

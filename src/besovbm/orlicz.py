@@ -29,7 +29,6 @@ __all__ = [
     "OrliczFunction",
     "theta",
     "phi_beta",
-    "custom",
     "theta_eval",
     "as_weights",
     "modular",
@@ -73,9 +72,8 @@ class OrliczFunction:
     with ``evaluate(0) = 0``, nondecreasing, and unbounded.
     """
 
-    kind: str  # "theta", "phi_beta" or "custom"
+    kind: str  # "theta" or "phi_beta"
     evaluate: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
     beta: float | None = None
 
 
@@ -95,12 +93,7 @@ def phi_beta(beta: float) -> OrliczFunction:
             out = np.expm1(np.abs(arr) ** beta)
         return float(out) if out.ndim == 0 else out
 
-    return OrliczFunction("phi_beta", _eval, convex=beta >= 1, beta=beta)
-
-
-def custom(evaluate: Callable[[np.ndarray], np.ndarray], convex: bool = True) -> OrliczFunction:
-    """Wrap a user-supplied Young-type evaluator."""
-    return OrliczFunction("custom", evaluate, convex=convex)
+    return OrliczFunction("phi_beta", _eval, beta=beta)
 
 
 def as_weights(a) -> np.ndarray:

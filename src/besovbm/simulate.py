@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .orlicz import as_weights
-from .spaces import SpaceSpec, space_norm
+from .spaces import SpaceSpec, padded_weights, space_norm
 
 __all__ = [
     "RngSeed",
@@ -81,12 +80,7 @@ class GaussianVarSpec:
     sigma: tuple
 
     def padded_sigma(self) -> np.ndarray:
-        w = as_weights(np.asarray(self.sigma, dtype=float))
-        if w.size > self.space.dim:
-            raise ValueError("sigma is longer than the space dimension")
-        out = np.zeros(self.space.dim)
-        out[: w.size] = w
-        return out
+        return padded_weights(self.space, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -109,11 +103,7 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [1, {MAX_DEPTH}]")
-    w = as_weights(sigma)
-    if w.size > space.dim:
-        raise ValueError("sigma is longer than the space dimension")
-    scale = np.zeros(space.dim)
-    scale[: w.size] = w
+    scale = padded_weights(space, sigma)
     values = np.empty(((1 << depth) + 1, space.dim))
     values[0] = 0.0
     steps = values[1:]

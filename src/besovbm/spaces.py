@@ -25,8 +25,10 @@ from .orlicz import as_weights
 
 __all__ = [
     "SpaceSpec",
+    "parse_exponent",
     "finite_lq",
     "truncated_lp",
+    "padded_weights",
     "space_norm",
     "dual_exponent",
     "DualNet",
@@ -53,6 +55,13 @@ class SpaceSpec:
             raise ValueError("exponent must lie in [1, inf]")
 
 
+def parse_exponent(text: str) -> float:
+    """An exponent from text; ``inf``, ``infinity`` and ``oo`` give math.inf."""
+    if text.lower() in ("inf", "infinity", "oo"):
+        return math.inf
+    return float(text)
+
+
 def finite_lq(dim: int, q: float) -> SpaceSpec:
     """R^dim under the l^q norm."""
     return SpaceSpec("finite_lq", float(q), int(dim))
@@ -61,6 +70,16 @@ def finite_lq(dim: int, q: float) -> SpaceSpec:
 def truncated_lp(p: float, dim: int) -> SpaceSpec:
     """D-dimensional truncation of the sequence space l^p."""
     return SpaceSpec("truncated_lp", float(p), int(dim))
+
+
+def padded_weights(space: SpaceSpec, sigma) -> np.ndarray:
+    """The weights ``sigma`` zero-padded to the space's ``dim`` coordinates."""
+    w = as_weights(sigma)
+    if w.size > space.dim:
+        raise ValueError("sigma is longer than the space dimension")
+    out = np.zeros(space.dim)
+    out[: w.size] = w
+    return out
 
 
 def space_norm(space: SpaceSpec, v):

@@ -138,6 +138,18 @@ def test_maximal_with_ensemble_config(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("solo,")
 
 
+def test_maximal_writes_only_requested_formats(tmp_path, capsys):
+    cfg = tmp_path / "ens.cfg"
+    cfg.write_text("ensemble.solo.sigma = 1.0\nensemble.solo.count = 4\n", encoding="utf-8")
+    code, _, _ = run_cli(
+        capsys, "maximal", "--config", str(cfg), "--samples", "2000",
+        "--out", str(tmp_path / "base"), "--format", "json-text",
+    )
+    assert code == 0
+    assert (tmp_path / "base.json").exists()
+    assert not (tmp_path / "base.csv").exists()
+
+
 def test_config_error_is_reported(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no.such.key = 1\n", encoding="utf-8")

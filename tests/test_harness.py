@@ -157,6 +157,11 @@ def test_divergence_fraction_ci_is_wilson():
     assert (n * hi - n * f) ** 2 == pytest.approx(z * z * n * hi * (1 - hi), rel=1e-9)
 
 
+def test_divergence_single_path_ci_finite():
+    result = harness.run(small("divergence", paths=1, depth=14, seed=RngSeed(3)))
+    assert all(math.isfinite(row.ci) for row in result.rows)
+
+
 def test_divergence_growth_prediction():
     # linear growth of the partial sums: G* = 11/8 up to the (1 - 2^-n) window
     predicted, factor = harness.divergence_growth(9, 12, 2.0, 2.0)
@@ -402,3 +407,40 @@ def test_moments_path_task_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(harness, "worker_count", lambda: 3)
     with pytest.raises(RuntimeError, match="injected path failure"):
         _bounded(lambda: harness.run(small("moments", paths=4, depth=12)))
+
+
+# --- the per-path driver ----------------------------------------------------------
+
+MODELS = ((finite_lq(1, 2.0), (1.0,)), (truncated_lp(2.0, 3), (1.0, 0.5, 0.25)))
+
+
+def test_map_paths_stream_layout():
+    cfg = small("bm-limit", paths=3, depth=10)
+
+    def statistic(path):
+        return besov.dyadic_increment_lp(path, 4, 2.0)
+
+    got = harness.map_paths(cfg, MODELS, statistic)
+    for s, (space, sigma) in enumerate(MODELS):
+        seeds = [cfg.seed.with_stream(1 + s * cfg.paths + i) for i in range(cfg.paths)]
+        assert got[s] == [statistic(sample_bm(space, sigma, cfg.depth, seed)) for seed in seeds]
+
+
+def test_map_paths_independent_of_worker_count():
+    cfg = small("bm-limit", paths=6, depth=12)
+
+    def statistic(path):
+        return besov._increment_norms(path, 5)
+
+    serial, pooled = (
+        _bounded(lambda: harness.map_paths(cfg, MODELS, statistic, workers=workers)) for workers in (1, 3)
+    )
+    assert np.array_equal(np.array(serial), np.array(pooled))
+
+
+def test_map_paths_serial_error_reaches_caller():
+    def failing(path):
+        raise RuntimeError("injected path failure")
+
+    with pytest.raises(RuntimeError, match="injected path failure"):
+        harness.map_paths(small("bm-limit", paths=2, depth=8), MODELS, failing)
