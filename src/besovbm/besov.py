@@ -25,7 +25,7 @@ import numpy as np
 
 from . import orlicz
 from .simulate import PathSample
-from .spaces import space_norm
+from .spaces import NORM_BLOCK, row_blocks, space_norm  # NORM_BLOCK is re-exported
 
 __all__ = [
     "SCALE_MARGIN",
@@ -45,9 +45,6 @@ __all__ = [
 
 SCALE_MARGIN = 6
 DEFAULT_P_MAX = 64
-# Elements per space_norm call in the row-blocked norms: small enough that
-# a block and its temporaries stay in cache.
-NORM_BLOCK = 2**14
 
 
 def default_n_max(depth: int) -> int:
@@ -95,13 +92,6 @@ def _interval_indices(path: PathSample, sub_interval) -> tuple[int, int]:
     if not 0 <= ka < kb <= n:
         raise ValueError("sub-interval must be nonempty and contained in [0, 1]")
     return ka, kb
-
-
-def row_blocks(rows: int, dim: int):
-    """``(lo, hi)`` row ranges of about ``NORM_BLOCK`` elements covering ``rows``."""
-    step = max(NORM_BLOCK // dim, 1)
-    for lo in range(0, rows, step):
-        yield lo, min(lo + step, rows)
 
 
 def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:

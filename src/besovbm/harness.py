@@ -19,9 +19,11 @@ workers cannot change a result:
 * the supremum pass of ensemble ``k`` in the maximal experiment draws
   stream ``1000 * (k + 1)``, with per-variable mean passes offset from there.
 
-Only the moment experiment runs its paths on a thread pool (see
-:func:`run_moment_experiment`); the pool returns them in path order, so the
-report does not depend on the number of workers.
+Two stages run on a thread pool of :func:`worker_count` threads: the paths
+of the moment experiment (see :func:`run_moment_experiment`) and the
+per-variable mean passes of the maximal experiment (see
+:func:`besovbm.maxima.empirical_sup_mean`).  Both pools return their
+results in task order, so no report depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,16 @@ import numpy as np
 from . import besov
 from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
 from .maxima import empirical_sup_mean
-from .simulate import GaussianVarSpec, EnsembleSpec, PathSample, RngSeed, gaussian_abs_moment, sample_bm
+from .simulate import (
+    GaussianVarSpec,
+    EnsembleSpec,
+    PathSample,
+    RngSeed,
+    gaussian_abs_moment,
+    sample_bm,
+    sampled_norms,
+    worker_count,
+)
 from .spaces import (
     SpaceSpec,
     dual_exponent,
@@ -46,7 +57,7 @@ from .spaces import (
     iw_norm,
     padded_weights,
     parse_exponent,
-    space_norm,
+    scalar_weight,
     truncated_lp,
 )
 
@@ -363,49 +374,23 @@ def _wilson_half_width(frac: float, n: int) -> float:
     return 1.96 * math.sqrt(frac * (1.0 - frac) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
 
 
-def _effectively_scalar(sigma) -> float | None:
-    """The single nonzero weight if there is at most one, else None."""
-    arr = np.asarray(sigma, dtype=float)
-    nz = arr[arr > 0]
-    if nz.size == 0:
-        return 0.0
-    if nz.size == 1:
-        return float(nz[0])
-    return None
-
-
 def _reference_moments(space, sigma, p_values, seed) -> dict:
     """c_p = (E|W(1)|^p)^(1/p) for each requested p, plus p = 1.
 
     Analytic for an effectively scalar weight sequence; a single Monte Carlo
-    batch of 1e5 draws of W(1) otherwise, drawn, weighted and normed in row
-    blocks (the draws follow one another on the stream, so the blocks give
-    the same numbers as one whole-batch draw).
+    batch of 1e5 draws of W(1) otherwise.
     """
     wanted = sorted(set(float(p) for p in p_values) | {1.0})
-    scale = _effectively_scalar(sigma)
+    scale = scalar_weight(sigma)
     if scale is not None:
         return {p: scale * gaussian_abs_moment(p) for p in wanted}
-    sig = padded_weights(space, sigma)
-    gen = seed.generator()
-    norms = np.empty(REFERENCE_MC_SAMPLES)
-    for lo, hi in besov.row_blocks(REFERENCE_MC_SAMPLES, space.dim):
-        g = gen.standard_normal((hi - lo, space.dim))
-        g *= sig
-        norms[lo:hi] = space_norm(space, g)
+    norms = sampled_norms(space, sigma, REFERENCE_MC_SAMPLES, seed)
     return {p: float(np.mean(norms**p) ** (1.0 / p)) for p in wanted}
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-
-def worker_count() -> int:
-    """Threads for per-path work: one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> list:
@@ -417,6 +402,8 @@ def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> lis
     its kernels); values and exceptions come back in path order either way,
     so the result does not depend on the worker count.
     """
+    if cfg.paths < 1:
+        raise ValueError("at least one path is required")
     tasks = [(s, i) for s in range(len(models)) for i in range(cfg.paths)]
 
     def draw(task):

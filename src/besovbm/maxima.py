@@ -11,19 +11,22 @@ with the median variant ``M + 2 rho`` available as a secondary route.
 :func:`empirical_sup_mean` estimates the left-hand side by Monte Carlo and
 checks it against the bounds; per-variable means are computed analytically
 in the effectively scalar case and by a stream-separated Monte Carlo pass
-otherwise.
+otherwise.  The mean passes run on a thread pool; each draws its own stream
+and they are collected in variable order, so ``m`` does not depend on the
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .orlicz import as_weights, luxemburg_norm, theta
-from .simulate import EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc
-from .spaces import diag_weak_variance, space_norm
+from .simulate import EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, worker_count
+from .spaces import diag_weak_variance, scalar_weight, space_norm
 
 __all__ = [
     "EstimateReport",
@@ -105,12 +108,9 @@ def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
     norm is then that weight times a folded standard normal); Monte Carlo
     with the supplied stream-separated seed otherwise.
     """
-    sig = spec.padded_sigma()
-    nonzero = sig[sig > 0]
-    if nonzero.size == 0:
-        return 0.0
-    if nonzero.size == 1:
-        return float(nonzero[0]) * math.sqrt(2.0 / math.pi)
+    scale = scalar_weight(spec.padded_sigma())
+    if scale is not None:
+        return scale * math.sqrt(2.0 / math.pi)
     if seed is None:
         raise ValueError("a seed is required for the Monte Carlo mean of a vector variable")
     return mean_norm_mc(spec, seed, samples)
@@ -137,10 +137,9 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
     spread = float(sup.std(ddof=1)) if samples > 1 else 0.0
     ci = 1.96 * spread / math.sqrt(samples)
 
-    means = [
-        variable_mean(var, seed.with_stream(seed.stream + 1 + i))
-        for i, var in enumerate(ensemble.variables)
-    ]
+    streams = [seed.with_stream(seed.stream + 1 + i) for i in range(len(ensemble.variables))]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        means = list(pool.map(variable_mean, ensemble.variables, streams))
     sigmas = np.array(
         [diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in ensemble.variables]
     )

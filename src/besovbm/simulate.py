@@ -13,12 +13,13 @@ workers cannot change results.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .spaces import SpaceSpec, padded_weights, space_norm
+from .spaces import SpaceSpec, padded_weights, row_blocks, space_norm
 
 __all__ = [
     "RngSeed",
@@ -27,7 +28,9 @@ __all__ = [
     "EnsembleSpec",
     "sample_bm",
     "sample_diag_gaussian",
+    "sampled_norms",
     "gaussian_abs_moment",
+    "worker_count",
     "MAX_DEPTH",
 ]
 
@@ -130,8 +133,30 @@ def gaussian_abs_moment(p: float) -> float:
     return math.exp(logm / p)
 
 
+def sampled_norms(space: SpaceSpec, sigma, samples: int, seed: RngSeed) -> np.ndarray:
+    """Norms of ``samples`` draws of ``sum_n sigma_n g_n e_n`` from one stream.
+
+    Drawn, weighted and normed in row blocks into one vector.  The draws
+    follow one another on the stream, so the blocks give the same numbers
+    as one whole-batch draw.
+    """
+    sig = padded_weights(space, sigma)
+    gen = seed.generator()
+    norms = np.empty(samples)
+    for lo, hi in row_blocks(samples, space.dim):
+        g = gen.standard_normal((hi - lo, space.dim))
+        g *= sig
+        norms[lo:hi] = space_norm(space, g)
+    return norms
+
+
 def mean_norm_mc(spec: GaussianVarSpec, seed: RngSeed, samples: int = 100_000) -> float:
     """Monte Carlo estimate of E|xi| for a diagonal Gaussian vector."""
-    sig = spec.padded_sigma()
-    g = seed.generator().standard_normal((samples, spec.space.dim))
-    return float(np.mean(space_norm(spec.space, g * sig)))
+    return float(np.mean(sampled_norms(spec.space, spec.sigma, samples, seed)))
+
+
+def worker_count() -> int:
+    """Threads for independent draws: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

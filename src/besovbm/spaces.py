@@ -29,6 +29,9 @@ __all__ = [
     "finite_lq",
     "truncated_lp",
     "padded_weights",
+    "scalar_weight",
+    "NORM_BLOCK",
+    "row_blocks",
     "space_norm",
     "dual_exponent",
     "DualNet",
@@ -82,6 +85,34 @@ def padded_weights(space: SpaceSpec, sigma) -> np.ndarray:
     return out
 
 
+def scalar_weight(sigma) -> float | None:
+    """The single nonzero weight if there is at most one (0.0 if none), else None.
+
+    A diagonal Gaussian vector with at most one nonzero weight has the law of
+    that weight times a folded standard normal in every l^p norm, so its
+    moments are analytic.
+    """
+    arr = np.asarray(sigma, dtype=float)
+    nz = arr[arr > 0]
+    if nz.size == 0:
+        return 0.0
+    if nz.size == 1:
+        return float(nz[0])
+    return None
+
+
+# Elements per space_norm call in row-blocked norms: small enough that a
+# block and its temporaries stay in cache.
+NORM_BLOCK = 2**14
+
+
+def row_blocks(rows: int, dim: int):
+    """``(lo, hi)`` row ranges of about ``NORM_BLOCK`` elements covering ``rows``."""
+    step = max(NORM_BLOCK // dim, 1)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
 def space_norm(space: SpaceSpec, v):
     """l^exponent norm of the coordinates.
 
@@ -93,7 +124,16 @@ def space_norm(space: SpaceSpec, v):
         raise ValueError(f"vector has {arr.shape[-1]} coordinates, space has {space.dim}")
     p = space.exponent
     if math.isinf(p):
-        out = np.abs(arr).max(axis=-1)
+        # Column-wise: abs writes the coordinate-major (dim, ...) transpose
+        # and max(axis=0) folds whole contiguous columns, where max(axis=-1)
+        # reduces each short row on its own.  On a 2^14-element block (one
+        # thread, numpy 2.4) this takes 37 against 191 us at dim 8, 39
+        # against 102 us at dim 16 and 41 against 37 us at dim 64.  A
+        # Python loop of np.maximum over the columns is as fast on one
+        # thread but pays for its dim calls under the thread pools: two
+        # threads took 289 ms for what this does in 164 ms.  The maximum is
+        # exact, so the result has the same bits as the row max.
+        out = np.abs(np.moveaxis(arr, -1, 0), order="C").max(axis=0)
     elif p == 1.0:
         out = np.abs(arr).sum(axis=-1)
     elif p == 2.0:

@@ -156,3 +156,10 @@ def test_config_error_is_reported(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bm-limit", "--config", str(cfg))
     assert code == 2
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("argv", [("bm-limit",), ("divergence", "--depth", "14")])
+def test_experiment_rejects_zero_paths(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--paths", "0")
+    assert code == 2
+    assert "error: at least one path is required" in err

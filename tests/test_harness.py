@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from besovbm import besov, harness
+from besovbm import besov, harness, maxima
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
 from besovbm.spaces import finite_lq, space_norm, truncated_lp
@@ -407,6 +407,36 @@ def test_moments_path_task_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(harness, "worker_count", lambda: 3)
     with pytest.raises(RuntimeError, match="injected path failure"):
         _bounded(lambda: harness.run(small("moments", paths=4, depth=12)))
+
+
+# c04 scalar, c06 l^1, c08 l^2 and c09 l^inf: 40 Monte Carlo mean passes
+SMALL_ENSEMBLES = tuple(harness.default_ensembles()[k] for k in (3, 5, 7, 8))
+
+
+def test_maximal_report_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = small("maximal", mc_samples=2_000)
+    reports = []
+    for workers in (1, 3):  # serial, and more threads than a two-core machine has
+        monkeypatch.setattr(maxima, "worker_count", lambda: workers)
+        result = _bounded(lambda: harness.run(cfg, SMALL_ENSEMBLES))
+        (path,) = harness.emit_report(result, tmp_path / f"maximal-{workers}")
+        with open(path, "rb") as handle:
+            reports.append(handle.read())
+    assert reports[0] == reports[1]
+
+
+def test_maximal_mean_pass_error_reaches_caller(monkeypatch):
+    real = maxima.mean_norm_mc
+
+    def failing(spec, seed, samples):
+        if math.isinf(spec.space.exponent):
+            raise RuntimeError("injected mean pass failure")
+        return real(spec, seed, samples)
+
+    monkeypatch.setattr(maxima, "mean_norm_mc", failing)
+    monkeypatch.setattr(maxima, "worker_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="injected mean pass failure"):
+        _bounded(lambda: harness.run(small("maximal", mc_samples=2_000), SMALL_ENSEMBLES))
 
 
 # --- the per-path driver ----------------------------------------------------------

@@ -12,7 +12,7 @@ from besovbm.simulate import (
     sample_bm,
     sample_diag_gaussian,
 )
-from besovbm.spaces import finite_lq, space_norm, truncated_lp
+from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
 
 from tests.oracles import MEAN_ABS_NORMAL, expected_max_abs_gaussians
 
@@ -117,6 +117,19 @@ def test_mean_norm_sup_pair_matches_quadrature():
     est = mean_norm_mc(spec, RngSeed(22), 100_000)
     oracle = expected_max_abs_gaussians(2)
     assert abs(est - oracle) <= 3.0 * 0.6 / math.sqrt(100_000)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 17])
+@pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0, math.inf])
+def test_mean_norm_matches_one_shot_draw(dim, exponent):
+    space = truncated_lp(exponent, dim)
+    sigma = tuple(0.7 ** np.arange(dim))
+    samples = 2 * NORM_BLOCK + 3  # a multiple of no block size
+    assert samples % max(NORM_BLOCK // dim, 1) != 0
+    seed = RngSeed(dim, 9)
+    g = seed.generator().standard_normal((samples, dim))
+    want = float(np.mean(space_norm(space, g * np.asarray(sigma))))
+    assert mean_norm_mc(GaussianVarSpec(space, sigma), seed, samples) == want
 
 
 def test_gaussian_abs_moment_values():

@@ -27,6 +27,23 @@ def test_space_norm_batch():
     assert np.allclose(out, [5.0, 1.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 17, 64])
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_sup_norm_matches_row_max(dim, lead):
+    x = np.random.default_rng(dim).standard_normal(lead + (dim,))
+    flat = x.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = math.inf
+    flat[4::12] = -math.inf
+    flat[5::13] = math.nan
+    if lead:
+        x[(0,) * len(lead)] = -0.0  # a row of negative zeros
+    want = np.abs(x).max(axis=-1)
+    got = space_norm(truncated_lp(math.inf, dim), x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
 def test_space_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         space_norm(finite_lq(3, 2.0), [1.0, 2.0])
