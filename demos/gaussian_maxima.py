@@ -39,7 +39,7 @@ cases = [
      EnsembleSpec(tuple(GaussianVarSpec(truncated_lp(math.inf, 2), (1.0, 1.0)) for _ in range(8)))),
 ]
 for label, ensemble in cases:
-    rep = maxima.sandwich_check(ensemble, 10_000, RngSeed(7, 9000 + len(label)))
+    rep = maxima.empirical_sup_mean(ensemble, 10_000, RngSeed(7, 9000 + len(label)))
     status = "inside" if rep.verdict else "OUTSIDE"
     print(f"  {label:<24} estimate {rep.estimate:.4f} +- {rep.ci_half_width:.4f}  "
           f"band [{rep.lower_bound:.4f}, {rep.upper_bound:.4f}]  -> {status}")

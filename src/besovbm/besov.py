@@ -25,7 +25,7 @@ import numpy as np
 
 from . import orlicz
 from .simulate import PathSample
-from .spaces import NORM_BLOCK, row_blocks, space_norm  # NORM_BLOCK is re-exported
+from .spaces import row_blocks, space_norm
 
 __all__ = [
     "SCALE_MARGIN",

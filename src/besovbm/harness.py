@@ -9,19 +9,13 @@ including the seed, give byte-identical report files.
 
 The path experiments (bm-limit, divergence, moments, tau) sample their
 paths and take a per-path statistic through one driver, :func:`map_paths`.
-Every random quantity has a fixed stream, so the partition of work across
-workers cannot change a result:
-
-* path ``i`` of space model ``s`` draws stream ``1 + s * paths + i``
-  (the single-space experiments have the one model ``s = 0``);
-* reference moments of ``|W(1)|`` draw stream 0, or ``500_000 + s`` for
-  model ``s`` of the moment experiment;
-* the supremum pass of ensemble ``k`` in the maximal experiment draws
-  stream ``1000 * (k + 1)``, with per-variable mean passes offset from there.
+Every draw takes its seed from :func:`_draw_seed`, a child of the config's
+seed keyed by (experiment, model, role, index), so no two draws share
+randomness and the partition of work across workers cannot change a result.
 
 Two stages run on a thread pool of :func:`worker_count` threads: the paths
 of the moment experiment (see :func:`run_moment_experiment`) and the
-per-variable mean passes of the maximal experiment (see
+per-variable passes of the maximal experiment (see
 :func:`besovbm.maxima.empirical_sup_mean`).  Both pools return their
 results in task order, so no report depends on the number of workers.
 """
@@ -38,7 +32,7 @@ import numpy as np
 
 from . import besov
 from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
-from .maxima import empirical_sup_mean
+from .maxima import EstimateReport, empirical_sup_mean
 from .simulate import (
     GaussianVarSpec,
     EnsembleSpec,
@@ -111,6 +105,9 @@ EXPERIMENTS = (
     "maximal",
     "increment-variance",
 )
+# What a draw is for.  A draw's key holds the positions of its experiment and
+# role in these tuples, so appending to either keeps every existing key.
+DRAW_ROLES = ("path", "reference", "dual-net", "ensemble")
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +274,8 @@ def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED
         cfg = replace(cfg, paths=int(mapping["mc.paths"]))
     if "mc.samples" in mapping:
         cfg = replace(cfg, mc_samples=int(mapping["mc.samples"]))
-    stream = int(mapping.get("rng.stream", 0))
-    if "rng.seed" in mapping:
-        cfg = replace(cfg, seed=RngSeed(int(mapping["rng.seed"]), stream))
-    elif stream:
-        cfg = replace(cfg, seed=RngSeed(cfg.seed.seed, stream))
+    seed = int(mapping.get("rng.seed", cfg.seed.seed))
+    cfg = replace(cfg, seed=RngSeed(seed, int(mapping.get("rng.stream", 0))))
     if "out.path" in mapping:
         cfg = replace(cfg, out_path=mapping["out.path"])
     if "out.format" in mapping:
@@ -393,11 +387,16 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _draw_seed(cfg: ExperimentConfig, model: int, role: str, index: int = 0) -> RngSeed:
+    """The seed of one draw: ``cfg.seed`` extended by ``(experiment, model, role, index)``."""
+    return cfg.seed.child(EXPERIMENTS.index(cfg.experiment), model, DRAW_ROLES.index(role), index)
+
+
 def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> list:
     """``statistic(path)`` for ``cfg.paths`` paths of each ``(space, sigma)`` model.
 
     Returns one list per model, in path order.  Path ``i`` of model ``s``
-    draws stream ``1 + s * cfg.paths + i``.  With more than one worker the
+    draws from ``_draw_seed(cfg, s, "path", i)``.  With more than one worker the
     paths run on a thread pool (numpy releases the interpreter lock inside
     its kernels); values and exceptions come back in path order either way,
     so the result does not depend on the worker count.
@@ -409,7 +408,7 @@ def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> lis
     def draw(task):
         s, i = task
         space, sigma = models[s]
-        return sample_bm(space, sigma, cfg.depth, cfg.seed.with_stream(1 + s * cfg.paths + i))
+        return sample_bm(space, sigma, cfg.depth, _draw_seed(cfg, s, "path", i))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -450,7 +449,7 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     scales = cfg.scales or (cfg.depth - SCALE_MARGIN,)
     _check_scales(cfg, scales)
-    refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, cfg.seed.with_stream(0))
+    refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, _draw_seed(cfg, 0, "reference"))
 
     def statistic(path):
         ys = []
@@ -597,7 +596,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
     rows = []
     for s, (label, space, sigma) in enumerate(models):
-        refs = _reference_moments(space, sigma, p_ints, cfg.seed.with_stream(500_000 + s))
+        refs = _reference_moments(space, sigma, p_ints, _draw_seed(cfg, s, "reference"))
         totals = profiles[s][:, [p - 1 for p in p_ints]]
         orlicz_vals = np.max(weights * profiles[s], axis=1)
         ratios = []
@@ -640,7 +639,7 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     p_ints = _integer_exponents(cfg)
     p_max = max(p_ints)
     n_max = besov.default_n_max(cfg.depth)
-    refs = _reference_moments(cfg.space, cfg.sigma, p_ints, cfg.seed.with_stream(0))
+    refs = _reference_moments(cfg.space, cfg.sigma, p_ints, _draw_seed(cfg, 0, "reference"))
 
     def statistic(path):
         profile = integer_p_besov_totals(path, 0.5, p_max, n_max)
@@ -721,7 +720,7 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
     for j in js:
         if not 1 <= j <= cfg.depth:
             raise ValueError("each lag exponent must lie in [1, depth]")
-    net = dual_net(cfg.space, max(64, 2 * cfg.space.dim), cfg.seed.with_stream(0))
+    net = dual_net(cfg.space, max(64, 2 * cfg.space.dim), _draw_seed(cfg, 0, "dual-net"))
     sig = padded_weights(cfg.space, cfg.sigma)
     iw = iw_norm(cfg.space, cfg.sigma)
     rows = []
@@ -761,19 +760,19 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
 
 def run_maximal_experiment(
     cfg: ExperimentConfig, ensembles: tuple | None = None
-) -> tuple:
+) -> tuple[tuple[str, EstimateReport], ...]:
     """Monte Carlo check of the expected-supremum sandwich per ensemble.
 
-    Returns pairs ``(config_id, EstimateReport)``; ensemble k draws from
-    base stream ``1000 (k + 1)`` so that adding or removing configurations
-    never perturbs the others.
+    Returns one ``(config_id, EstimateReport)`` pair per ensemble, in order.
+    Ensemble ``k`` draws from ``_draw_seed(cfg, k, "ensemble")``: appending
+    a configuration leaves the others unchanged, while removing or
+    reordering one moves the keys of those after it.
     """
     if ensembles is None:
         ensembles = default_ensembles()
     out = []
     for k, econf in enumerate(ensembles):
-        seed = cfg.seed.with_stream(1000 * (k + 1))
-        report = empirical_sup_mean(econf.build(), cfg.mc_samples, seed)
+        report = empirical_sup_mean(econf.build(), cfg.mc_samples, _draw_seed(cfg, k, "ensemble"))
         out.append((econf.config_id, report))
     return tuple(out)
 
@@ -852,6 +851,7 @@ def _json_payload(result: ExperimentResult) -> dict:
                 "estimate": row.estimate,
                 "ci": row.ci,
                 "reference": row.reference,
+                "lower": row.lower,
                 "ratio": row.ratio,
                 "verdict": "pass" if row.verdict else "fail",
             }

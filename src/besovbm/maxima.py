@@ -10,10 +10,10 @@ For independent centered Gaussian vectors ``xi_n`` with first moments
 with the median variant ``M + 2 rho`` available as a secondary route.
 :func:`empirical_sup_mean` estimates the left-hand side by Monte Carlo and
 checks it against the bounds; per-variable means are computed analytically
-in the effectively scalar case and by a stream-separated Monte Carlo pass
-otherwise.  The mean passes run on a thread pool; each draws its own stream
-and they are collected in variable order, so ``m`` does not depend on the
-number of threads.
+in the effectively scalar case and by a Monte Carlo pass otherwise.  Each
+variable is one thread-pool task drawing its supremum samples and its mean
+pass from two child keys of the ensemble's seed; the results are folded in
+variable order, so the report does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orlicz import as_weights, luxemburg_norm, theta
-from .simulate import EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, worker_count
-from .spaces import diag_weak_variance, scalar_weight, space_norm
+from .simulate import EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, sampled_norms, worker_count
+# ``space_norm`` is not called here; it stays because the benchmark tracer
+# (perfbench/spans.py) patches ``maxima.space_norm``.
+from .spaces import diag_weak_variance, scalar_weight, space_norm  # noqa: F401
 
 __all__ = [
     "EstimateReport",
@@ -37,7 +39,6 @@ __all__ = [
     "remark_bound",
     "variable_mean",
     "empirical_sup_mean",
-    "sandwich_check",
 ]
 
 VERDICT_TOL = 1e-6
@@ -106,7 +107,7 @@ def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
 
     Analytic ``sigma sqrt(2/pi)`` when at most one weight is nonzero (the
     norm is then that weight times a folded standard normal); Monte Carlo
-    with the supplied stream-separated seed otherwise.
+    with the supplied seed otherwise.
     """
     scale = scalar_weight(spec.padded_sigma())
     if scale is not None:
@@ -119,36 +120,31 @@ def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
 def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> EstimateReport:
     """Monte Carlo estimate of ``E sup_n |xi_n|`` with the analytic sandwich.
 
-    The supremum pass draws every variable from the seed's own stream; the
-    per-variable mean passes use streams ``stream + 1 + n`` so that the two
-    estimates never share randomness.  Weak variances come from the diagonal
+    One pool task per variable returns its ``samples`` sampled norms and its
+    mean; the norms are folded into the running supremum in variable order
+    as the results arrive.  Variable ``i`` draws its norms from
+    ``seed.child(i, 0)`` and its mean pass from ``seed.child(i, 1)``, so no
+    two draws share randomness.  Weak variances come from the diagonal
     closed form.
     """
     if samples < 100:
         raise ValueError("at least 100 samples are required")
-    gen = seed.generator()
-    sup = np.zeros(samples)
-    for var in ensemble.variables:
-        sig = var.padded_sigma()
-        draws = gen.standard_normal((samples, var.space.dim))
-        norms = np.atleast_1d(space_norm(var.space, draws * sig))
-        np.maximum(sup, norms, out=sup)
-    estimate = float(sup.mean())
-    spread = float(sup.std(ddof=1)) if samples > 1 else 0.0
-    ci = 1.96 * spread / math.sqrt(samples)
+    variables = ensemble.variables
 
-    streams = [seed.with_stream(seed.stream + 1 + i) for i in range(len(ensemble.variables))]
+    def draws(i, var):
+        norms = sampled_norms(var.space, var.sigma, samples, seed.child(i, 0))
+        return norms, variable_mean(var, seed.child(i, 1))
+
+    sup = np.zeros(samples)
+    means = []
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        means = list(pool.map(variable_mean, ensemble.variables, streams))
-    sigmas = np.array(
-        [diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in ensemble.variables]
-    )
+        for norms, mean in pool.map(draws, range(len(variables)), variables):
+            np.maximum(sup, norms, out=sup)
+            means.append(mean)
+    estimate = float(sup.mean())
+    ci = 1.96 * float(sup.std(ddof=1)) / math.sqrt(samples)
+    sigmas = np.array([diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables])
     m = max(means)
     lower = lower_bound(m, sigmas)
     upper = upper_bound_mean(m, sigmas)
     return EstimateReport(estimate, ci, lower, upper, _verdict(estimate, ci, lower, upper))
-
-
-def sandwich_check(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> EstimateReport:
-    """Run :func:`empirical_sup_mean` and report the band verdict."""
-    return empirical_sup_mean(ensemble, samples, seed)

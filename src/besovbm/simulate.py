@@ -3,11 +3,11 @@
 Paths live on the dyadic grid ``t_k = k 2^-N`` for a depth ``N``; they are
 built from i.i.d. Gaussian increments whose coordinate-n variance per step
 is ``2^-N sigma_n^2``, so the grid values carry no discretisation error in
-law.  Reproducibility contract: a ``RngSeed`` is a (seed, stream) pair and
-identical pairs reproduce identical output bit for bit, while distinct
-stream indices give statistically independent draws.  Sub-experiments are
-assigned disjoint stream indices so that any split of the work across
-workers cannot change results.
+law.  Reproducibility contract: a ``RngSeed`` (seed, stream, key) draws from
+the ``SeedSequence`` spawn key ``(stream, *key)``; identical seeds reproduce
+identical output bit for bit and distinct keys give independent draws.  Each
+sub-task takes its own ``child`` key, so no split of the work across workers
+can change a result.
 """
 
 from __future__ import annotations
@@ -39,23 +39,26 @@ MAX_DEPTH = 24  # 2^24 grid points caps memory per path
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Seed plus splittable stream index for reproducible parallel draws."""
+    """Seed, base stream and spawn key for reproducible parallel draws."""
 
     seed: int
     stream: int = 0
+    key: tuple = ()
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.stream < 0:
-            raise ValueError("stream index must be nonnegative")
+        # SeedSequence splits a larger part into 32-bit words, aliasing a longer key
+        if not all(0 <= part < 2**32 for part in (self.stream, *self.key)):
+            raise ValueError("stream index and key parts must lie in [0, 2^32)")
+
+    def child(self, *parts: int) -> "RngSeed":
+        """The seed whose key extends this one's by ``parts``."""
+        return RngSeed(self.seed, self.stream, self.key + parts)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *self.key))
         return np.random.default_rng(seq)
-
-    def with_stream(self, stream: int) -> "RngSeed":
-        return RngSeed(self.seed, stream)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from besovbm import besov
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
-from besovbm.spaces import finite_lq, space_norm, truncated_lp
+from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
 
 SCALAR = finite_lq(1, 2.0)
 
@@ -293,11 +293,11 @@ BLOCK_EXPONENTS = [1.0, 2.0, 3.0, math.inf]
 @pytest.mark.parametrize("exponent", BLOCK_EXPONENTS)
 def test_row_norms_match_whole_array(dim, exponent):
     space = truncated_lp(exponent, dim)
-    rows = 2 * besov.NORM_BLOCK + 3  # a multiple of no block size
-    assert rows % max(besov.NORM_BLOCK // dim, 1) != 0
+    rows = 2 * NORM_BLOCK + 3  # a multiple of no block size
+    assert rows % max(NORM_BLOCK // dim, 1) != 0
     values = np.random.default_rng(dim).standard_normal((rows, dim))
     assert np.array_equal(besov._row_norms(space, values), np.atleast_1d(space_norm(space, values)))
-    for shift in (1, 5, besov.NORM_BLOCK + 1):
+    for shift in (1, 5, NORM_BLOCK + 1):
         whole = space_norm(space, values[shift:] - values[:-shift])
         assert np.array_equal(besov._row_norms(space, values, shift), whole)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -15,6 +16,11 @@ from besovbm.spaces import finite_lq, space_norm, truncated_lp
 def small(experiment, **overrides):
     cfg = harness.default_config(experiment)
     return replace(cfg, **overrides)
+
+
+# positions in the spawn key (experiment, model, role, index) of a draw
+LIMIT = harness.EXPERIMENTS.index("bm-limit")
+PATH = harness.DRAW_ROLES.index("path")
 
 
 # --- configuration ------------------------------------------------------------
@@ -44,6 +50,16 @@ def test_parse_config_text_roundtrip():
     assert cfg.paths == 40
     assert cfg.seed == RngSeed(99)
     assert cfg.formats == ("csv", "svg")
+
+
+def test_rng_stream_changes_the_draws():
+    rows = []
+    for stream in ("0", "7"):
+        mapping = {"rng.stream": stream, "mc.paths": "5", "scales": "8", "p.list": "2"}
+        cfg = harness.config_from_mapping("bm-limit", mapping)
+        assert cfg.seed.stream == int(stream)
+        rows.append(harness.run(cfg).rows)
+    assert rows[0][0].estimate != rows[1][0].estimate
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -111,7 +127,7 @@ def test_limit_matches_besov_per_scale_on_same_stream():
     result = harness.run(cfg)
     ys = []
     for i in range(cfg.paths):
-        path = sample_bm(cfg.space, cfg.sigma, cfg.depth, cfg.seed.with_stream(1 + i))
+        path = sample_bm(cfg.space, cfg.sigma, cfg.depth, cfg.seed.child(LIMIT, 0, PATH, i))
         report = besov.besov_norm(path, BesovParams(0.5, 2.0, math.inf, 10))
         ys.append(dict(report.per_scale)[10])
     assert result.rows[0].estimate == pytest.approx(float(np.mean(ys)), rel=1e-12)
@@ -425,6 +441,42 @@ def test_maximal_report_independent_of_worker_count(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_maximal_keys_never_repeat(monkeypatch):
+    # 1000 variables used to reach the next ensemble's integer stream
+    keys = []
+
+    def norms(space, sigma, samples, seed):
+        keys.append((seed.stream, *seed.key))
+        return np.zeros(samples)
+
+    def mean(spec, seed, samples):
+        keys.append((seed.stream, *seed.key))
+        return 1.0
+
+    monkeypatch.setattr(maxima, "sampled_norms", norms)
+    monkeypatch.setattr(maxima, "mean_norm_mc", mean)
+    space = truncated_lp(2.0, 2)
+    ensembles = (harness.EnsembleConfig("many", space, (1.0, 0.5), 1000),
+                 harness.EnsembleConfig("next", space, (1.0, 0.5), 3))
+    harness.run_maximal_experiment(small("maximal", mc_samples=100), ensembles)
+    assert len(keys) == 2 * 1003
+    assert len(set(keys)) == len(keys)
+
+
+def test_maximal_json_recomputes_verdicts(tmp_path):
+    pairs = harness.run_maximal_experiment(small("maximal", mc_samples=500), SMALL_ENSEMBLES)
+    below = maxima.EstimateReport(0.5, 0.01, 1.0, 2.0, False)  # under its lower bound
+    result = harness._maximal_result(pairs + (("below", below),))
+    (path,) = harness.emit_report(result, tmp_path / "maximal", ("json-text",))
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = json.load(handle)["rows"]
+    for row in rows:
+        lower, upper, ci, tol = row["lower"], row["reference"], row["ci"], maxima.VERDICT_TOL
+        recomputed = lower - ci - tol <= row["estimate"] <= upper + ci + tol
+        assert ("pass" if recomputed else "fail") == row["verdict"]
+    assert rows[-1]["verdict"] == "fail"
+
+
 def test_maximal_mean_pass_error_reaches_caller(monkeypatch):
     real = maxima.mean_norm_mc
 
@@ -452,7 +504,7 @@ def test_map_paths_stream_layout():
 
     got = harness.map_paths(cfg, MODELS, statistic)
     for s, (space, sigma) in enumerate(MODELS):
-        seeds = [cfg.seed.with_stream(1 + s * cfg.paths + i) for i in range(cfg.paths)]
+        seeds = [cfg.seed.child(LIMIT, s, PATH, i) for i in range(cfg.paths)]
         assert got[s] == [statistic(sample_bm(space, sigma, cfg.depth, seed)) for seed in seeds]
 
 

@@ -114,7 +114,7 @@ def test_sandwich_check_example_ensembles():
                            for _ in range(12))),
     ]
     for j, ensemble in enumerate(cases):
-        report = maxima.sandwich_check(ensemble, 10_000, RngSeed(46, 1000 * j))
+        report = maxima.empirical_sup_mean(ensemble, 10_000, RngSeed(46, 1000 * j))
         assert report.verdict
         assert report.lower_bound <= report.upper_bound
 
@@ -125,7 +125,7 @@ def test_median_route_bounds_scalar_family():
     ensemble = scalar_ensemble(sigmas)
     seed = RngSeed(47)
     report = maxima.empirical_sup_mean(ensemble, 20_000, seed)
-    gen = seed.with_stream(900).generator()
+    gen = RngSeed(47, 900).generator()
     medians = [
         float(np.median(np.abs(gen.standard_normal(20_000)) * s)) for s in sigmas
     ]

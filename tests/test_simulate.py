@@ -155,6 +155,11 @@ def test_seed_validation():
         RngSeed(-1)
     with pytest.raises(ValueError):
         RngSeed(3, -2)
+    # a part of 2^32 or more would draw the same bits as a longer key
+    with pytest.raises(ValueError):
+        RngSeed(3, 2**32)
+    with pytest.raises(ValueError):
+        RngSeed(3).child(0, 2**32)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 16])
