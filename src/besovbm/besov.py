@@ -41,6 +41,7 @@ __all__ = [
     "luxemburg_function_norm",
     "integer_p_lp_norms",
     "integer_p_besov_totals",
+    "p_weighted_sup",
 ]
 
 SCALE_MARGIN = 6
@@ -188,18 +189,24 @@ def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarr
     return out
 
 
+def p_weighted_sup(values, beta: float):
+    """``max_p p^(-1/beta) values[..., p - 1]`` over p = 1, 2, ... along the last axis."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    values = np.asarray(values)
+    ps = np.arange(1, values.shape[-1] + 1)
+    return np.max(ps ** (-1.0 / beta) * values, axis=-1)
+
+
 def exp_orlicz_lp_norm(
     path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX, sub_interval=(0.0, 1.0)
 ) -> float:
     """sup over integer p in [1, p_max] of p^(-1/beta) L^p norm of the path."""
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     ka, kb = _interval_indices(path, sub_interval)
     lp = integer_p_lp_norms(_row_norms(path.space, path.values[ka:kb]), 2.0**-path.depth, p_max)
-    ps = np.arange(1, p_max + 1)
-    return float(np.max(ps ** (-1.0 / beta) * lp))
+    return float(p_weighted_sup(lp, beta))
 
 
 def integer_p_besov_totals(
@@ -232,11 +239,7 @@ def besov_orlicz_norm(
     """sup over integer p <= p_max of p^(-1/beta) times the B^alpha_{p,inf} norm."""
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    totals = integer_p_besov_totals(path, alpha, p_max, n_max)
-    ps = np.arange(1, p_max + 1)
-    return float(np.max(ps ** (-1.0 / beta) * totals))
+    return float(p_weighted_sup(integer_p_besov_totals(path, alpha, p_max, n_max), beta))
 
 
 def luxemburg_function_norm(path: PathSample, beta: float) -> float:

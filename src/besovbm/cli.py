@@ -3,9 +3,10 @@
 Subcommands: ``rho`` (Luxemburg sequence norms), ``besov-norm`` (path norms
 from a CSV or an internally sampled path), and the experiment drivers
 ``bm-limit``, ``divergence``, ``maximal``, ``moments``, ``tau``,
-``increment-variance``.  Shared flags: ``--config`` (flat key = value file),
-``--seed``, ``--samples``, ``--depth``, ``--out``, ``--format``.  The exit
-code is 0 iff every verdict passes.
+``increment-variance``.  Shared flags: ``--config`` (flat key = value file)
+and ``--seed``, ``--samples``, ``--paths``, ``--depth``, ``--out``,
+``--format``, each of which overrides one config key (see
+:data:`EXPERIMENT_FLAG_KEYS`).  The exit code is 0 iff every verdict passes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,10 +31,20 @@ EXPERIMENT_COMMANDS = {
     "increment-variance": "weak variance of lag-c increments in L^p",
 }
 
+# Experiment flag (argparse dest) -> the config key it overrides.
+EXPERIMENT_FLAG_KEYS = {
+    "seed": "rng.seed",
+    "samples": "mc.samples",
+    "paths": "mc.paths",
+    "depth": "depth",
+    "out": "out.path",
+    "format": "out.format",
+}
+
 
 def _read_sequence(args) -> np.ndarray:
     if args.sequence is not None:
-        return np.array([float(t) for t in args.sequence.split(",") if t.strip()])
+        return np.array(harness._parse_list(args.sequence, float))
     if args.sequence_file is not None:
         with open(args.sequence_file, "r", encoding="utf-8") as handle:
             return np.array([float(line) for line in handle if line.strip()])
@@ -85,7 +95,7 @@ def _cmd_besov_norm(args) -> int:
         path = read_path_csv(args.path_csv, space)
     else:
         space = SpaceSpec(args.space_kind or "finite_lq", parse_exponent(args.space_p), args.space_dim)
-        sigma = [float(t) for t in args.sigma.split(",") if t.strip()]
+        sigma = harness._parse_list(args.sigma, float)
         path = sample_bm(space, sigma, args.depth, RngSeed(args.seed, args.stream))
         if args.dump_path:
             write_path_csv(path, args.dump_path)
@@ -110,26 +120,12 @@ def _cmd_besov_norm(args) -> int:
     return 0
 
 
-def _experiment_config(args, mapping: dict) -> harness.ExperimentConfig:
-    cfg = harness.config_from_mapping(args.experiment, mapping)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=RngSeed(args.seed, cfg.seed.stream))
-    if args.samples is not None:
-        cfg = replace(cfg, mc_samples=args.samples)
-    if args.paths is not None:
-        cfg = replace(cfg, paths=args.paths)
-    if args.depth is not None:
-        cfg = replace(cfg, depth=args.depth)
-    if args.out is not None:
-        cfg = replace(cfg, out_path=args.out)
-    if args.format is not None:
-        cfg = replace(cfg, formats=tuple(t.strip() for t in args.format.split(",") if t.strip()))
-    return cfg
-
-
 def _cmd_experiment(args) -> int:
     mapping = harness.parse_config_file(args.config) if args.config else {}
-    cfg = _experiment_config(args, mapping)
+    for flag, key in EXPERIMENT_FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            mapping[key] = str(getattr(args, flag))
+    cfg = harness.config_from_mapping(args.experiment, mapping)
     result = harness.run(cfg, harness.ensembles_from_mapping(mapping) or None)
     if cfg.out_path:
         harness.emit_report(result, cfg.out_path, cfg.formats)

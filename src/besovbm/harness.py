@@ -2,9 +2,11 @@
 
 Each driver consumes an :class:`ExperimentConfig` and returns an
 :class:`ExperimentResult` whose rows carry (params, estimate, ci, reference,
-ratio, verdict); every verdict is recomputable from the emitted numbers
-alone.  Reports are written as CSV (fixed header), a structured-text (JSON)
-mirror, and an optional SVG plot.  Full determinism: identical configs,
+verdict), and ``maximal`` rows also carry the lower bound of the sandwich.
+A row's ratio is derived from its estimate and reference, never stored.
+Every verdict is recomputable from the emitted numbers alone.  Reports are
+written as CSV (fixed header), a structured-text (JSON) mirror, and an
+optional SVG plot.  Full determinism: identical configs,
 including the seed, give byte-identical report files.
 
 The path experiments (bm-limit, divergence, moments, tau) sample their
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import besov
-from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
-from .maxima import EstimateReport, empirical_sup_mean
+from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals, p_weighted_sup
+from .maxima import empirical_sup_mean
 from .simulate import (
     GaussianVarSpec,
     EnsembleSpec,
@@ -179,24 +181,34 @@ def default_config(experiment: str, seed: int = DEFAULT_SEED) -> ExperimentConfi
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
+def _parse_list(text: str, convert) -> tuple:
+    """The comma-separated items of ``text``, blanks skipped, each converted."""
+    return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
+# Config key -> (ExperimentConfig field, parser of the key's text).
+_CONFIG_FIELDS = {
+    "sigma": ("sigma", lambda text: _parse_list(text, float)),
+    "depth": ("depth", int),
+    "scales": ("scales", lambda text: _parse_list(text, lambda tok: int(float(tok)))),
+    "p.list": ("p_list", lambda text: _parse_list(text, float)),
+    "q": ("q", parse_exponent),
+    "beta": ("beta", float),
+    "p.max": ("p_max", int),
+    "mc.paths": ("paths", int),
+    "mc.samples": ("mc_samples", int),
+    "out.path": ("out_path", str),
+    "out.format": ("formats", lambda text: _parse_list(text, str)),
+}
+# The keys that pick the defaults or build a space or a seed from several parts.
 _CONFIG_SCALARS = {
     "experiment.id",
     "space.kind",
     "space.p",
     "space.dim",
-    "sigma",
-    "depth",
-    "scales",
-    "p.list",
-    "q",
-    "beta",
-    "p.max",
-    "mc.paths",
-    "mc.samples",
     "rng.seed",
     "rng.stream",
-    "out.path",
-    "out.format",
+    *_CONFIG_FIELDS,
 }
 _ENSEMBLE_SUBKEYS = {"space.kind", "space.p", "space.dim", "sigma", "count", "decay"}
 
@@ -233,10 +245,6 @@ def parse_config_file(path) -> dict:
         return parse_config_text(handle.read())
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> SpaceSpec:
     kind = mapping.get(prefix + "kind")
     p = mapping.get(prefix + "p")
@@ -255,32 +263,12 @@ def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED
     if "experiment.id" in mapping:
         experiment = mapping["experiment.id"]
     cfg = default_config(experiment, seed)
-    cfg = replace(cfg, space=_space_from_mapping(mapping, "space.", cfg.space))
-    if "sigma" in mapping:
-        cfg = replace(cfg, sigma=_parse_floats(mapping["sigma"]))
-    if "depth" in mapping:
-        cfg = replace(cfg, depth=int(mapping["depth"]))
-    if "scales" in mapping:
-        cfg = replace(cfg, scales=tuple(int(float(t)) for t in mapping["scales"].split(",") if t.strip()))
-    if "p.list" in mapping:
-        cfg = replace(cfg, p_list=_parse_floats(mapping["p.list"]))
-    if "q" in mapping:
-        cfg = replace(cfg, q=parse_exponent(mapping["q"]))
-    if "beta" in mapping:
-        cfg = replace(cfg, beta=float(mapping["beta"]))
-    if "p.max" in mapping:
-        cfg = replace(cfg, p_max=int(mapping["p.max"]))
-    if "mc.paths" in mapping:
-        cfg = replace(cfg, paths=int(mapping["mc.paths"]))
-    if "mc.samples" in mapping:
-        cfg = replace(cfg, mc_samples=int(mapping["mc.samples"]))
-    seed = int(mapping.get("rng.seed", cfg.seed.seed))
-    cfg = replace(cfg, seed=RngSeed(seed, int(mapping.get("rng.stream", 0))))
-    if "out.path" in mapping:
-        cfg = replace(cfg, out_path=mapping["out.path"])
-    if "out.format" in mapping:
-        cfg = replace(cfg, formats=tuple(t.strip() for t in mapping["out.format"].split(",") if t.strip()))
-    return cfg
+    return replace(
+        cfg,
+        space=_space_from_mapping(mapping, "space.", cfg.space),
+        seed=RngSeed(int(mapping.get("rng.seed", cfg.seed.seed)), int(mapping.get("rng.stream", 0))),
+        **{name: parse(mapping[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in mapping},
+    )
 
 
 def ensembles_from_mapping(mapping: dict) -> tuple:
@@ -295,7 +283,7 @@ def ensembles_from_mapping(mapping: dict) -> tuple:
     for config_id in sorted(groups):
         sub = groups[config_id]
         space = _space_from_mapping(sub, "space.", finite_lq(1, 2.0))
-        sigma = _parse_floats(sub["sigma"]) if "sigma" in sub else (1.0,)
+        sigma = _parse_list(sub["sigma"], float) if "sigma" in sub else (1.0,)
         count = int(sub.get("count", 1))
         decay = float(sub.get("decay", 1.0))
         configs.append(EnsembleConfig(config_id, space, sigma, count, decay))
@@ -331,9 +319,12 @@ class ResultRow:
     estimate: float
     ci: float
     reference: float | None
-    ratio: float | None
     verdict: bool
     lower: float | None = None  # the maximal experiment's lower bound (reference is the upper)
+
+    @property
+    def ratio(self) -> float | None:
+        return None if self.reference is None else _ratio(self.estimate, self.reference)
 
 
 @dataclass(frozen=True)
@@ -473,7 +464,6 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     estimate,
                     ci,
                     ref,
-                    ratio,
                     verdict,
                 )
             )
@@ -527,7 +517,7 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for n in range(1, n_hi + 1):
         estimate, ci = _mean_ci(values[:, n - 1])
-        rows.append(ResultRow((f"n_max={n}", f"p={p:g}", f"q={cfg.q:g}"), estimate, ci, None, None, True))
+        rows.append(ResultRow((f"n_max={n}", f"p={p:g}", f"q={cfg.q:g}"), estimate, ci, None, True))
     predicted, factor = divergence_growth(n_lo, n_hi, p, cfg.q)
     growth = values[:, n_hi]
     frac = float(np.mean(growth >= factor))
@@ -537,7 +527,6 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             frac,
             _wilson_half_width(frac, len(growth)),
             GROWTH_FRACTION,
-            _ratio(frac, GROWTH_FRACTION),
             frac >= GROWTH_FRACTION,
         )
     )
@@ -548,7 +537,6 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             mean_growth,
             ci,
             predicted,
-            _ratio(mean_growth, predicted),
             True,
         )
     )
@@ -556,13 +544,12 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _moment_space_models(cfg: ExperimentConfig) -> tuple:
-    sigma = cfg.sigma if len(cfg.sigma) > 1 else _geometric_sigma()
-    dim = len(sigma)
+    dim = len(cfg.sigma)
     return (
         ("scalar", finite_lq(1, 2.0), (1.0,)),
-        ("l2", truncated_lp(2.0, dim), sigma),
-        ("l1", truncated_lp(1.0, dim), sigma),
-        ("linf", truncated_lp(math.inf, dim), sigma),
+        ("l2", truncated_lp(2.0, dim), cfg.sigma),
+        ("l1", truncated_lp(1.0, dim), cfg.sigma),
+        ("linf", truncated_lp(math.inf, dim), cfg.sigma),
     )
 
 
@@ -578,7 +565,6 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("at least two paths are required")
     p_ints = _integer_exponents(cfg, cfg.p_max)
     n_max = besov.default_n_max(cfg.depth)
-    weights = np.arange(1, cfg.p_max + 1) ** (-1.0 / cfg.beta)
     models = _moment_space_models(cfg)
     # Only this experiment pools its paths.  Pooling bm-limit, divergence and
     # tau as well (2 vCPUs, 24-s benchmark runs, seeds 31-33) cut the
@@ -598,7 +584,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for s, (label, space, sigma) in enumerate(models):
         refs = _reference_moments(space, sigma, p_ints, _draw_seed(cfg, s, "reference"))
         totals = profiles[s][:, [p - 1 for p in p_ints]]
-        orlicz_vals = np.max(weights * profiles[s], axis=1)
+        orlicz_vals = p_weighted_sup(profiles[s], cfg.beta)
         ratios = []
         for j, p in enumerate(p_ints):
             estimate, ci = _mean_ci(totals[:, j])
@@ -606,7 +592,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             ratio = _ratio(estimate, ref)
             ratios.append(ratio)
             verdict = BESOV_RATIO_BAND[0] <= ratio <= BESOV_RATIO_BAND[1]
-            rows.append(ResultRow((label, f"p={p}", "norm=besov"), estimate, ci, ref, ratio, verdict))
+            rows.append(ResultRow((label, f"p={p}", "norm=besov"), estimate, ci, ref, verdict))
         stability = max(ratios) / min(ratios)
         rows.append(
             ResultRow(
@@ -614,7 +600,6 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 stability,
                 0.0,
                 BESOV_STABILITY_MAX,
-                stability / BESOV_STABILITY_MAX,
                 stability <= BESOV_STABILITY_MAX,
             )
         )
@@ -622,7 +607,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ref = refs[1.0]
         ratio = _ratio(estimate, ref)
         verdict = ORLICZ_RATIO_BAND[0] <= ratio <= ORLICZ_RATIO_BAND[1]
-        rows.append(ResultRow((label, f"beta={cfg.beta:g}", "norm=besov-orlicz"), estimate, ci, ref, ratio, verdict))
+        rows.append(ResultRow((label, f"beta={cfg.beta:g}", "norm=besov-orlicz"), estimate, ci, ref, verdict))
     return ExperimentResult("moments", tuple(rows))
 
 
@@ -653,7 +638,7 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ref = refs[float(p)]
         ratio = _ratio(minimum, ref)
         rows.append(
-            ResultRow((f"p={p}", f"paths={cfg.paths}", "kind=min"), minimum, 0.0, ref, ratio, ratio >= TAU_SLACK)
+            ResultRow((f"p={p}", f"paths={cfg.paths}", "kind=min"), minimum, 0.0, ref, ratio >= TAU_SLACK)
         )
     zero = PathSample(cfg.space, cfg.depth, np.zeros(((1 << cfg.depth) + 1, cfg.space.dim)))
     for j, p in enumerate(p_ints):
@@ -661,7 +646,7 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ref = refs[float(p)]
         ratio = _ratio(norm, ref)
         rows.append(
-            ResultRow((f"p={p}", "kind=control", "path=zero"), norm, 0.0, ref, ratio, ratio < TAU_SLACK)
+            ResultRow((f"p={p}", "kind=control", "path=zero"), norm, 0.0, ref, ratio < TAU_SLACK)
         )
     return ExperimentResult("tau", tuple(rows))
 
@@ -737,56 +722,45 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
             ratio = _ratio(estimate, reference)
             verdict = abs(ratio - 1.0) <= TEST_FUNCTIONAL_RTOL if reference > 0 else estimate == 0.0
             rows.append(
-                ResultRow((f"c=2^-{j}", f"p={p:g}", "row=test-functional"), estimate, 0.0, reference, ratio, verdict)
+                ResultRow((f"c=2^-{j}", f"p={p:g}", "row=test-functional"), estimate, 0.0, reference, verdict)
             )
             young = c ** (0.5 + 1.0 / p) * iw
             lower = math.sqrt(var_a) * net_coupling / window
-            ratio = _ratio(lower, young)
             rows.append(
                 ResultRow(
                     (f"c=2^-{j}", f"p={p:g}", "row=net-lower"),
                     lower,
                     0.0,
                     young,
-                    ratio,
                     lower <= young * (1.0 + YOUNG_TOL) if young > 0 else lower == 0.0,
                 )
             )
             rows.append(
-                ResultRow((f"c=2^-{j}", f"p={p:g}", "row=young-upper"), young, 0.0, young, 1.0, True)
+                ResultRow((f"c=2^-{j}", f"p={p:g}", "row=young-upper"), young, 0.0, young, True)
             )
     return ExperimentResult("increment-variance", tuple(rows))
 
 
-def run_maximal_experiment(
-    cfg: ExperimentConfig, ensembles: tuple | None = None
-) -> tuple[tuple[str, EstimateReport], ...]:
+def run_maximal_experiment(cfg: ExperimentConfig, ensembles: tuple | None = None) -> ExperimentResult:
     """Monte Carlo check of the expected-supremum sandwich per ensemble.
 
-    Returns one ``(config_id, EstimateReport)`` pair per ensemble, in order.
-    Ensemble ``k`` draws from ``_draw_seed(cfg, k, "ensemble")``: appending
-    a configuration leaves the others unchanged, while removing or
+    Returns one row per ensemble, in order: the estimate of ``E sup_n |xi_n|``
+    with its ci, the upper bound as the reference and the lower bound as
+    ``lower``.  Ensemble ``k`` draws from ``_draw_seed(cfg, k, "ensemble")``:
+    appending a configuration leaves the others unchanged, while removing or
     reordering one moves the keys of those after it.
     """
     if ensembles is None:
         ensembles = default_ensembles()
-    out = []
+    rows = []
     for k, econf in enumerate(ensembles):
         report = empirical_sup_mean(econf.build(), cfg.mc_samples, _draw_seed(cfg, k, "ensemble"))
-        out.append((econf.config_id, report))
-    return tuple(out)
-
-
-def _maximal_result(pairs) -> ExperimentResult:
-    rows = []
-    for config_id, report in pairs:
         rows.append(
             ResultRow(
-                (config_id,),
+                (econf.config_id,),
                 report.estimate,
                 report.ci_half_width,
                 report.upper_bound,
-                _ratio(report.estimate, report.upper_bound),
                 report.verdict,
                 report.lower_bound,
             )
@@ -795,7 +769,7 @@ def _maximal_result(pairs) -> ExperimentResult:
 
 
 def run(cfg: ExperimentConfig, ensembles: tuple | None = None) -> ExperimentResult:
-    """Dispatch on the experiment id; maximal results are adapted to rows."""
+    """Dispatch on the experiment id; ``ensembles`` applies to maximal only."""
     if cfg.experiment == "bm-limit":
         return run_limit_experiment(cfg)
     if cfg.experiment == "divergence":
@@ -805,7 +779,7 @@ def run(cfg: ExperimentConfig, ensembles: tuple | None = None) -> ExperimentResu
     if cfg.experiment == "tau":
         return run_tau_experiment(cfg)
     if cfg.experiment == "maximal":
-        return _maximal_result(run_maximal_experiment(cfg, ensembles))
+        return run_maximal_experiment(cfg, ensembles)
     if cfg.experiment == "increment-variance":
         return run_increment_variance_experiment(cfg)
     raise ValueError(f"unknown experiment {cfg.experiment!r}")
@@ -951,10 +925,10 @@ def emit_report(result: ExperimentResult, out_base, formats=("csv",)) -> list:
     return written
 
 
-def emit_maximal_csv(pairs, path) -> str:
-    """Write the maximal experiment's CSV report for ``pairs`` to ``path``.
+def emit_maximal_csv(result: ExperimentResult, path) -> str:
+    """Write the maximal experiment's CSV report for ``result`` to ``path``.
 
     ``.csv`` is appended when ``path`` lacks it; returns the written path.
     """
-    (written,) = emit_report(_maximal_result(pairs), os.fspath(path).removesuffix(".csv"), ("csv",))
+    (written,) = emit_report(result, os.fspath(path).removesuffix(".csv"), ("csv",))
     return written

@@ -38,10 +38,6 @@ __all__ = [
     "luxemburg_scale",
 ]
 
-#: Absolute tolerance of the Luxemburg bisection (the loop actually refines
-#: further, down to ~1e-12 relative, which is free at these problem sizes).
-BISECT_TOL = 1e-9
-
 #: Relative bracket tolerance of the Orlicz-norm golden-section refinement.
 REFINE_TOL = 1e-8
 
@@ -72,14 +68,12 @@ class OrliczFunction:
     with ``evaluate(0) = 0``, nondecreasing, and unbounded.
     """
 
-    kind: str  # "theta" or "phi_beta"
     evaluate: Callable[[np.ndarray], np.ndarray]
-    beta: float | None = None
 
 
 def theta() -> OrliczFunction:
     """The Gaussian-maximum function ``Theta``."""
-    return OrliczFunction("theta", theta_eval)
+    return OrliczFunction(theta_eval)
 
 
 def phi_beta(beta: float) -> OrliczFunction:
@@ -93,7 +87,7 @@ def phi_beta(beta: float) -> OrliczFunction:
             out = np.expm1(np.abs(arr) ** beta)
         return float(out) if out.ndim == 0 else out
 
-    return OrliczFunction("phi_beta", _eval, beta=beta)
+    return OrliczFunction(_eval)
 
 
 def as_weights(a) -> np.ndarray:

@@ -103,10 +103,10 @@ def test_criterion_05_divergence_growth_fraction():
 def test_criterion_06_expected_supremum_sandwich():
     start = time.perf_counter()
     cfg = replace(harness.default_config("maximal", SEED), mc_samples=10_000)
-    pairs = harness.run_maximal_experiment(cfg)
-    failures = [cid for cid, rep in pairs if not rep.verdict]
+    result = harness.run_maximal_experiment(cfg)
+    failures = [row.params[0] for row in result.rows if not row.verdict]
     elapsed = time.perf_counter() - start
-    ok = len(pairs) == 10 and not failures and elapsed < 180.0
+    ok = len(result.rows) == 10 and not failures and elapsed < 180.0
     assert _report(6, ok, f"10 ensembles inside [max(rho/3, m) - CI, m + 3 rho + CI] "
                           f"(failures: {failures or 'none'}; {elapsed:.1f}s)")
 
@@ -163,8 +163,8 @@ def test_criterion_10_full_suite_determinism(tmp_path):
         for experiment in harness.EXPERIMENTS:
             cfg = harness.default_config(experiment, SEED)
             if experiment == "maximal":
-                pairs = harness.run_maximal_experiment(cfg)
-                out = harness.emit_maximal_csv(pairs, tmp_path / run_dir / "maximal.csv")
+                result = harness.run_maximal_experiment(cfg)
+                out = harness.emit_maximal_csv(result, tmp_path / run_dir / "maximal.csv")
                 blobs["maximal"] = open(out, "rb").read()
             else:
                 result = harness.run(cfg)

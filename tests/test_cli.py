@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from besovbm import cli, orlicz
+from besovbm import cli, harness, orlicz
 from besovbm.simulate import RngSeed, sample_bm
 from besovbm.spaces import finite_lq
 
@@ -118,6 +118,23 @@ def test_experiment_with_config_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bm-limit", "--config", str(cfg))
     assert code == 0
     assert "n=8" in out
+
+
+def test_flags_override_config_file_keys(tmp_path, capsys, monkeypatch):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("depth = 14\nrng.seed = 9\nrng.stream = 7\n", encoding="utf-8")
+    seen = []
+
+    def run(cfg, ensembles=None):
+        seen.append(cfg)
+        return harness.ExperimentResult(cfg.experiment, ())
+
+    monkeypatch.setattr(harness, "run", run)
+    code, _, _ = run_cli(capsys, "bm-limit", "--config", str(cfg_file), "--depth", "12", "--seed", "5")
+    assert code == 0
+    (cfg,) = seen
+    assert cfg.depth == 12
+    assert cfg.seed == RngSeed(5, 7)
 
 
 def test_maximal_with_ensemble_config(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_parse_config_text_roundtrip():
     assert cfg.paths == 40
     assert cfg.seed == RngSeed(99)
     assert cfg.formats == ("csv", "svg")
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in readme.split("```ini\n")[1:]]
+    cfg = harness.config_from_mapping("maximal", harness.parse_config_text(block))
+    assert cfg.experiment == "bm-limit"
+    assert cfg.space == truncated_lp(math.inf, 4)
+    assert cfg.sigma == (1.0, 0.5, 0.25)
+    assert cfg.depth == 16 and cfg.scales == (8, 9, 10)
+    assert cfg.p_list == (1.0, 2.0, 4.0)
+    assert cfg.paths == 200 and cfg.mc_samples == 10_000
+    assert cfg.seed == RngSeed(20260808)
+    assert cfg.out_path == "reports/limit" and cfg.formats == ("csv", "json-text")
 
 
 def test_rng_stream_changes_the_draws():
@@ -218,6 +233,14 @@ def test_moment_experiment_bands_small_profile():
             assert 1.0 <= row.ratio <= 6.0
 
 
+def test_moment_experiment_keeps_one_element_sigma():
+    cfg = small("moments", sigma=(2.0,), depth=8, paths=2, p_list=(1.0, 2.0), p_max=8)
+    refs = {row.params[:2]: row.reference for row in harness.run(cfg).rows}
+    for label in ("l2", "l1", "linf"):
+        assert refs[label, "p=1"] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
+        assert refs[label, "p=2"] == pytest.approx(2.0, rel=1e-12)
+
+
 def test_moment_experiment_rejects_fractional_p():
     with pytest.raises(ValueError):
         harness.run(small("moments", p_list=(1.5,)))
@@ -307,9 +330,9 @@ def test_increment_variance_misaligned_lag():
 
 def test_maximal_experiment_default_ensembles_pass():
     cfg = small("maximal", mc_samples=2_000)
-    pairs = harness.run_maximal_experiment(cfg)
-    assert len(pairs) == 10
-    assert all(report.verdict for _, report in pairs)
+    result = harness.run_maximal_experiment(cfg)
+    assert len(result.rows) == 10
+    assert all(row.verdict for row in result.rows)
 
 
 # --- reports --------------------------------------------------------------------
@@ -343,8 +366,8 @@ def test_emit_report_unknown_format(tmp_path):
 
 def test_emit_maximal_csv(tmp_path):
     cfg = small("maximal", mc_samples=500)
-    pairs = harness.run_maximal_experiment(cfg, harness.default_ensembles()[:2])
-    out = harness.emit_maximal_csv(pairs, tmp_path / "maximal.csv")
+    result = harness.run_maximal_experiment(cfg, harness.default_ensembles()[:2])
+    out = harness.emit_maximal_csv(result, tmp_path / "maximal.csv")
     lines = open(out, "r", encoding="utf-8").read().splitlines()
     assert lines[0] == harness.MAXIMAL_CSV_HEADER
     assert len(lines) == 3 and lines[1].startswith("c01-")
@@ -464,9 +487,9 @@ def test_maximal_keys_never_repeat(monkeypatch):
 
 
 def test_maximal_json_recomputes_verdicts(tmp_path):
-    pairs = harness.run_maximal_experiment(small("maximal", mc_samples=500), SMALL_ENSEMBLES)
-    below = maxima.EstimateReport(0.5, 0.01, 1.0, 2.0, False)  # under its lower bound
-    result = harness._maximal_result(pairs + (("below", below),))
+    result = harness.run_maximal_experiment(small("maximal", mc_samples=500), SMALL_ENSEMBLES)
+    below = harness.ResultRow(("below",), 0.5, 0.01, 2.0, False, lower=1.0)  # under its lower bound
+    result = replace(result, rows=result.rows + (below,))
     (path,) = harness.emit_report(result, tmp_path / "maximal", ("json-text",))
     with open(path, "r", encoding="utf-8") as handle:
         rows = json.load(handle)["rows"]
