@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from besovbm import harness
+from besovbm.spaces import truncated_lp
 
 # reduced sizes: paths per model, or the maximal experiment's supremum samples
 SIZES = {
@@ -50,8 +51,18 @@ JSON_DIGESTS = {
 }
 
 
-def _digest(tmp_path, experiment, seed, fmt):
-    cfg = replace(harness.default_config(experiment, seed), **SIZES[experiment])
+# The default scalar increment-variance report does not depend on the seed
+# (both seeds above give the same digest); on this l^1 model the dual net is
+# drawn, so each seed pins a different report.
+L1_INCREMENT_VARIANCE = {"space": truncated_lp(1.0, 4), "sigma": (1.0, 0.5, 0.25, 0.125)}
+L1_DIGESTS = {
+    3: "2d2cf9a7c107b41c229e3fe78b852c1038968acf50020831f37ab6d7e08904e2",
+    20260808: "cdb2af2d0f87a49a71abc65af2e2f79cb5b2107271e00e951e26704c01812775",
+}
+
+
+def _digest(tmp_path, experiment, seed, fmt, **overrides):
+    cfg = replace(harness.default_config(experiment, seed), **SIZES[experiment], **overrides)
     (path,) = harness.emit_report(harness.run(cfg), tmp_path / experiment, (fmt,))
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
@@ -65,3 +76,13 @@ def test_report_digest(tmp_path, experiment, seed):
 @pytest.mark.parametrize("experiment", sorted(JSON_DIGESTS))
 def test_json_report_digest(tmp_path, experiment):
     assert _digest(tmp_path, experiment, JSON_SEED, "json-text") == JSON_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("seed", sorted(L1_DIGESTS))
+def test_l1_increment_variance_digest(tmp_path, seed):
+    digest = _digest(tmp_path, "increment-variance", seed, "csv", **L1_INCREMENT_VARIANCE)
+    assert digest == L1_DIGESTS[seed]
+
+
+def test_l1_increment_variance_digests_differ_across_seeds():
+    assert len(set(L1_DIGESTS.values())) == len(L1_DIGESTS)
