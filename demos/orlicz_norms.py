@@ -1,7 +1,8 @@
 """Walk through the Orlicz sequence-norm machinery.
 
 Shows the function Theta(x) = x^2 exp(-1/(2x^2)), its modular, the two
-equivalent norms (Luxemburg by bisection, Orlicz by grid minimisation),
+equivalent norms (Luxemburg by bisection, Orlicz by the same bisection on
+psi(x) = x Theta'(x) - Theta(x), the level function of its minimiser),
 and the square-root-log growth of the norm of geometric sequences.
 
 Run:  python demos/orlicz_norms.py

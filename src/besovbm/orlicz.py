@@ -10,11 +10,14 @@ is numerically negligible (see :func:`geometric_rho_ratio`).
 Two norms are computed for a Young function ``Phi`` and a sequence ``a``:
 
 * the Luxemburg norm ``rho_Phi(a) = inf{delta > 0 : sum_n Phi(a_n/delta) <= 1}``,
-  found by bracketing and bisection, and
-* the Orlicz norm ``|a|_Phi = inf_{delta > 0} (1 + sum_n Phi(delta a_n))/delta``,
-  found by a log-spaced grid scan followed by golden-section refinement.
+  and
+* the Orlicz norm ``|a|_Phi = inf_{k > 0} (1 + sum_n Phi(k a_n))/k``, whose
+  minimiser ``k = 1/d`` has ``d`` the Luxemburg norm of ``a`` under
+  ``psi(x) = x Phi'(x) - Phi(x)``.
 
-The two are equivalent within a factor two: ``rho <= |.|_Phi <= 2 rho``.
+Both are found by the one bracketing-and-bisection search of
+:func:`luxemburg_scale`.  The two are equivalent within a factor two:
+``rho <= |.|_Phi <= 2 rho``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,20 @@ __all__ = [
     "luxemburg_scale",
 ]
 
-#: Relative bracket tolerance of the Orlicz-norm golden-section refinement.
-REFINE_TOL = 1e-8
 
-_GRID_POINTS = 241  # log-spaced minimisation grid over [1e-6, 1e6]
+def _theta_family(x, of_square):
+    """``of_square(x^2)`` on the positive entries of ``x`` and exactly 0 at 0.
+
+    Accepts scalars or arrays, rejects negative input.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("Theta requires nonnegative input")
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    xp = arr[pos]
+    out[pos] = of_square(xp * xp)
+    return float(out) if out.ndim == 0 else out
 
 
 def theta_eval(x):
@@ -50,36 +63,43 @@ def theta_eval(x):
     The singularity at 0 is removable; it is evaluated as exactly 0.
     Accepts scalars or arrays, rejects negative input.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("theta_eval requires nonnegative input")
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    xp = arr[pos]
-    out[pos] = xp * xp * np.exp(-0.5 / (xp * xp))
-    return float(out) if out.ndim == 0 else out
+    return _theta_family(x, lambda sq: sq * np.exp(-0.5 / sq))
 
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """A Young-type function together with a vectorised evaluator.
+    """A Young function with vectorised evaluators of itself and of ``psi``.
 
     ``evaluate`` maps nonnegative reals to nonnegative reals elementwise,
-    with ``evaluate(0) = 0``, nondecreasing, and unbounded.
+    with ``evaluate(0) = 0``, convex, and unbounded.  ``psi`` evaluates
+    ``x phi'(x) - phi(x)``, which is nondecreasing (its derivative is
+    ``x phi''(x)``) and unbounded with ``psi(0) = 0``; it is the level
+    function of :func:`orlicz_norm`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
+    psi: Callable[[np.ndarray], np.ndarray]
+
+
+def _theta_psi(x):
+    """``x Theta'(x) - Theta(x) = (1 + x^2) exp(-1/(2 x^2))`` with ``psi(0) = 0``."""
+    return _theta_family(x, lambda sq: (1.0 + sq) * np.exp(-0.5 / sq))
 
 
 def theta() -> OrliczFunction:
     """The Gaussian-maximum function ``Theta``."""
-    return OrliczFunction(theta_eval)
+    return OrliczFunction(theta_eval, _theta_psi)
 
 
 def phi_beta(beta: float) -> OrliczFunction:
-    """The exponential Young function ``PhiBeta(x) = exp(|x|^beta) - 1``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    """The exponential Young function ``PhiBeta(x) = exp(|x|^beta) - 1``.
+
+    It is convex, hence a Young function, only for ``beta >= 1``.  With
+    ``u = |x|^beta``, ``psi = beta u e^u - (e^u - 1)`` is evaluated as
+    ``beta u + (beta u - 1) expm1(u)``, which avoids cancellation near 0.
+    """
+    if not beta >= 1:
+        raise ValueError("beta must be at least 1")
 
     def _eval(x):
         arr = np.asarray(x, dtype=float)
@@ -87,7 +107,13 @@ def phi_beta(beta: float) -> OrliczFunction:
             out = np.expm1(np.abs(arr) ** beta)
         return float(out) if out.ndim == 0 else out
 
-    return OrliczFunction(_eval)
+    def _psi(x):
+        with np.errstate(over="ignore"):
+            u = np.abs(np.asarray(x, dtype=float)) ** beta
+            out = beta * u + (beta * u - 1.0) * np.expm1(u)
+        return float(out) if out.ndim == 0 else out
+
+    return OrliczFunction(_eval, _psi)
 
 
 def as_weights(a) -> np.ndarray:
@@ -114,15 +140,24 @@ def modular(phi: OrliczFunction, a, delta: float) -> float:
     return float(np.sum(phi.evaluate(w / delta)))
 
 
-def luxemburg_scale(excess: Callable[[float], float], start: float) -> float:
-    """Smallest ``delta > 0`` with ``excess(delta) <= 0``.
+def luxemburg_scale(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray, weight: float = 1.0) -> float:
+    """Smallest ``delta > 0`` with ``weight * sum_n f(w_n / delta) <= 1``.
 
-    ``excess`` must be (weakly) decreasing in ``delta`` with a unique sign
-    change; ``start`` is a positive initial guess.  The bracket is first
-    grown/shrunk geometrically and then bisected.  Returns 0 when ``excess``
-    never exceeds 0 (the level set is all of ``(0, inf)``).
+    ``f`` is a vectorised nondecreasing function with ``f(0) = 0`` that grows
+    past ``1 / weight``, and ``w`` a 1-D array of nonnegative weights.  The
+    bracket starts at a tenth of the largest weight, is first grown/shrunk
+    geometrically and then bisected.  Returns 0 when every weight is 0, or
+    when the sum never exceeds 1 (the level set is all of ``(0, inf)``).
     """
-    lo = float(start)
+    top = float(np.max(w, initial=0.0))
+    if top == 0.0:
+        return 0.0
+
+    def excess(delta: float) -> float:
+        with np.errstate(over="ignore"):
+            return weight * float(np.sum(f(w / delta))) - 1.0
+
+    lo = top / 10.0
     shrink = 0
     while excess(lo) <= 0.0:
         lo *= 0.5
@@ -150,65 +185,29 @@ def luxemburg_scale(excess: Callable[[float], float], start: float) -> float:
 def luxemburg_norm(phi: OrliczFunction, a) -> float:
     """Luxemburg norm ``inf{delta > 0 : modular(phi, a, delta) <= 1}``.
 
-    Zero and empty sequences have norm 0.  The initial lower bracket is a
-    tenth of the largest entry, so the bracketing loop starts strictly above
-    the unit level for every unbounded Young function with ``phi(10) > 1``.
+    Zero and empty sequences have norm 0.
     """
     w = as_weights(a)
-    w = w[w > 0]
-    if w.size == 0:
-        return 0.0
-
-    def excess(delta: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(phi.evaluate(w / delta))) - 1.0
-
-    return luxemburg_scale(excess, float(np.max(w)) / 10.0)
+    return luxemburg_scale(phi.evaluate, w[w > 0])
 
 
 def orlicz_norm(phi: OrliczFunction, a) -> float:
-    """Orlicz norm ``inf_{delta > 0} (1 + sum_n phi(delta a_n)) / delta``.
+    """Orlicz norm ``inf_{k > 0} (1 + sum_n phi(k a_n)) / k``.
 
-    The infimand is not assumed unimodal: a log-spaced scan over
-    ``delta in [1e-6, 1e6]`` locates the global basin, and golden-section
-    refinement polishes the minimiser.  Zero and empty sequences give 0
-    (the objective decays like ``1/delta``).
+    The derivative of the infimand has the sign of ``sum_n psi(k a_n) - 1``
+    with ``psi(t) = t phi'(t) - phi(t)`` nondecreasing, so the infimand is
+    unimodal and its minimiser is ``k = 1/d`` with ``d`` the Luxemburg
+    scale of ``psi`` (the Amemiya / Krasnosel'skii--Rutickii identity, see
+    Rao--Ren, *Theory of Orlicz Spaces*, 1991).  Zero and empty sequences
+    give 0.
     """
     w = as_weights(a)
     w = w[w > 0]
-    if w.size == 0:
+    d = luxemburg_scale(phi.psi, w)
+    if d == 0.0:
         return 0.0
-    grid = np.logspace(-6.0, 6.0, _GRID_POINTS)
     with np.errstate(over="ignore"):
-        vals = (1.0 + phi.evaluate(np.outer(grid, w)).sum(axis=1)) / grid
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _GRID_POINTS - 1)]
-
-    def objective(delta: float) -> float:
-        with np.errstate(over="ignore"):
-            return (1.0 + float(np.sum(phi.evaluate(delta * w)))) / delta
-
-    return _golden_min(objective, lo, hi)
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > REFINE_TOL * max(1.0, abs(a)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return min(fc, fd, f(mid))
+        return d * (1.0 + float(np.sum(phi.evaluate(w / d))))
 
 
 def geometric_rho_ratio(alpha: float, truncation: int) -> float:
