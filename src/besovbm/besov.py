@@ -149,27 +149,20 @@ def _weighted_scale_terms(path: PathSample, alpha: float, p: float, n_max: int) 
     )
 
 
-def _lq_aggregate(terms: np.ndarray, q: float) -> float:
-    """l^q norm of the weighted scale terms; the maximum for q = inf."""
-    if math.isinf(q):
-        return float(terms.max())
-    return float(np.sum(terms**q) ** (1.0 / q))
-
-
 def besov_seminorm(path: PathSample, params: BesovParams) -> float:
     """Dyadic smoothness seminorm: l^q aggregation of the weighted scale terms.
 
     The n = 0 term vanishes (a unit lag leaves no room inside (0, 1)), so the
     sum runs over n = 1..n_max; q = inf takes the maximum instead.
     """
-    return _lq_aggregate(_weighted_scale_terms(path, params.alpha, params.p, params.n_max), params.q)
+    return _reduce_lp(_weighted_scale_terms(path, params.alpha, params.p, params.n_max), 1.0, params.q)
 
 
 def besov_norm(path: PathSample, params: BesovParams) -> NormReport:
     """Full Besov norm: L^p part over (0, 1) plus the smoothness seminorm."""
     lp_part = lp_norm_path(path, params.p)
     terms = _weighted_scale_terms(path, params.alpha, params.p, params.n_max)
-    semi = _lq_aggregate(terms, params.q)
+    semi = _reduce_lp(terms, 1.0, params.q)
     per_scale = tuple((n, float(t)) for n, t in zip(range(1, params.n_max + 1), terms))
     return NormReport(lp_part, semi, lp_part + semi, per_scale)
 
