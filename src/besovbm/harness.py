@@ -211,6 +211,16 @@ _CONFIG_SCALARS = {
     *_CONFIG_FIELDS,
 }
 _ENSEMBLE_SUBKEYS = {"space.kind", "space.p", "space.dim", "sigma", "count", "decay"}
+# The config keys each experiment reads besides experiment.id, rng.* and out.*;
+# "space.*" and "ensemble.*" stand for every key under the prefix.
+_EXPERIMENT_KEYS = {
+    "bm-limit": {"space.*", "sigma", "depth", "scales", "p.list", "mc.paths"},
+    "divergence": {"space.*", "sigma", "depth", "q", "p.list", "mc.paths"},
+    "moments": {"sigma", "depth", "p.list", "beta", "p.max", "mc.paths"},
+    "tau": {"space.*", "sigma", "depth", "p.list", "mc.paths"},
+    "maximal": {"mc.samples", "ensemble.*"},
+    "increment-variance": {"space.*", "sigma", "depth", "scales", "p.list"},
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -259,10 +269,17 @@ def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> Spac
 
 
 def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from parsed config keys."""
+    """Build an :class:`ExperimentConfig` from parsed config keys.
+
+    A key the chosen experiment never reads is an error.
+    """
     if "experiment.id" in mapping:
         experiment = mapping["experiment.id"]
     cfg = default_config(experiment, seed)
+    reads = _EXPERIMENT_KEYS[experiment] | {"experiment.id", "rng.*", "out.*"}
+    unread = [key for key in sorted(mapping) if key not in reads and key.split(".")[0] + ".*" not in reads]
+    if unread:
+        raise ValueError(f"{experiment} does not read the config keys {', '.join(unread)}")
     return replace(
         cfg,
         space=_space_from_mapping(mapping, "space.", cfg.space),

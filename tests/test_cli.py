@@ -175,6 +175,20 @@ def test_config_error_is_reported(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_keys_the_experiment_does_not_read_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("ensemble.a.count = 3\nmc.samples = 5\nbeta = 7\np.max = 9\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "bm-limit", "--config", str(cfg))
+    assert code == 2
+    assert "bm-limit does not read the config keys beta, ensemble.a.count, mc.samples, p.max" in err
+
+
+def test_flag_the_experiment_does_not_read_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "maximal", "--depth", "12")
+    assert code == 2
+    assert "maximal does not read the config keys depth" in err
+
+
 @pytest.mark.parametrize("argv", [("bm-limit",), ("divergence", "--depth", "14")])
 def test_experiment_rejects_zero_paths(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--paths", "0")

@@ -86,6 +86,41 @@ def test_parse_config_rejects_unknown_keys():
         harness.parse_config_text("just some words")
 
 
+# The config keys each experiment reads (besides experiment.id, rng.* and
+# out.*), one key standing for each family, and a value each reader accepts.
+KEY_VALUES = {
+    "space.dim": "2",
+    "sigma": "1.0",
+    "depth": "12",
+    "scales": "4",
+    "q": "2",
+    "p.list": "2",
+    "beta": "2",
+    "p.max": "8",
+    "mc.paths": "5",
+    "mc.samples": "100",
+    "ensemble.a.count": "2",
+}
+KEYS_READ = {
+    "bm-limit": {"space.dim", "sigma", "depth", "scales", "p.list", "mc.paths"},
+    "divergence": {"space.dim", "sigma", "depth", "q", "p.list", "mc.paths"},
+    "moments": {"sigma", "depth", "p.list", "beta", "p.max", "mc.paths"},
+    "tau": {"space.dim", "sigma", "depth", "p.list", "mc.paths"},
+    "maximal": {"mc.samples", "ensemble.a.count"},
+    "increment-variance": {"space.dim", "sigma", "depth", "scales", "p.list"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(KEYS_READ))
+def test_config_accepts_only_keys_the_experiment_reads(experiment):
+    common = {"rng.seed": "3", "rng.stream": "1", "out.path": "x", "out.format": "csv"}
+    read = {key: KEY_VALUES[key] for key in KEYS_READ[experiment]}
+    harness.config_from_mapping(experiment, {**common, **read, "experiment.id": experiment})
+    for key in sorted(set(KEY_VALUES) - KEYS_READ[experiment]):
+        with pytest.raises(ValueError, match=f"does not read the config keys {key}$"):
+            harness.config_from_mapping(experiment, {**read, key: KEY_VALUES[key]})
+
+
 def test_parse_ensemble_groups():
     text = """
     ensemble.a.space.kind = truncated_lp
