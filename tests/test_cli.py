@@ -30,6 +30,12 @@ def test_rho_phi_beta_from_file(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(expected, abs=1e-9)
 
 
+def test_rho_rejects_a_phi_beta_that_is_not_convex(capsys):
+    code, out, err = run_cli(capsys, "rho", "--function", "phi-beta", "--beta", "0.5", "--sequence", "1.0")
+    assert code == 2 and out == ""
+    assert "error: beta must be at least 1" in err
+
+
 def test_rho_requires_a_sequence(capsys):
     with pytest.raises(SystemExit):
         cli.main(["rho"])
