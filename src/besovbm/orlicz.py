@@ -110,7 +110,8 @@ def phi_beta(beta: float) -> OrliczFunction:
     def _psi(x):
         with np.errstate(over="ignore"):
             u = np.abs(np.asarray(x, dtype=float)) ** beta
-            out = beta * u + (beta * u - 1.0) * np.expm1(u)
+            bu = beta * u
+            out = bu + (bu - 1.0) * np.expm1(u)
         return float(out) if out.ndim == 0 else out
 
     return OrliczFunction(_eval, _psi)
