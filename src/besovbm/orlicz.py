@@ -207,8 +207,7 @@ def orlicz_norm(phi: OrliczFunction, a) -> float:
     d = luxemburg_scale(phi.psi, w)
     if d == 0.0:
         return 0.0
-    with np.errstate(over="ignore"):
-        return d * (1.0 + float(np.sum(phi.evaluate(w / d))))
+    return d * (1.0 + float(np.sum(phi.evaluate(w / d))))
 
 
 def geometric_rho_ratio(alpha: float, truncation: int) -> float:
