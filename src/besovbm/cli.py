@@ -6,7 +6,9 @@ from a CSV or an internally sampled path), and the experiment drivers
 ``increment-variance``.  Shared flags: ``--config`` (flat key = value file)
 and ``--seed``, ``--samples``, ``--paths``, ``--depth``, ``--out``,
 ``--format``, each of which overrides one config key (see
-:data:`EXPERIMENT_FLAG_KEYS`).  The exit code is 0 iff every verdict passes.
+:data:`EXPERIMENT_FLAG_KEYS`); a key or flag the chosen experiment never
+reads is an error.  The exit code is 0 iff every verdict passes, and 2 on
+an error.
 """
 
 from __future__ import annotations
