@@ -171,8 +171,13 @@ def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarr
     """L^p norms for p = 1..p_max from one pass of running powers.
 
     The running power ``norms**p`` is updated in place, one multiply per
-    element and power.
+    element and power.  Where ``max(norms)**p_max`` could leave the float
+    range, the norms are first scaled by the power of two ``2^-e`` that
+    brings their peak into ``[1/2, 1)``, which is exact and undone at the end.
     """
+    e = math.frexp(float(np.max(norms, initial=0.0)))[1]
+    if abs(e) * p_max > 900:
+        return np.ldexp(integer_p_lp_norms(np.ldexp(norms, -e), weight, p_max), e)
     out = np.empty(p_max)
     run = np.array(norms)
     for p in range(1, p_max + 1):

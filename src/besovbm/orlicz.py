@@ -16,8 +16,8 @@ Two norms are computed for a Young function ``Phi`` and a sequence ``a``:
   ``psi(x) = x Phi'(x) - Phi(x)``.
 
 Both are found by the one bracketing-and-bisection search of
-:func:`luxemburg_scale`.  The two are equivalent within a factor two:
-``rho <= |.|_Phi <= 2 rho``.
+:func:`luxemburg_scale`, whose relative stop makes them homogeneous at every
+scale.  The two are equivalent within a factor two: ``rho <= |.|_Phi <= 2 rho``.
 """
 
 from __future__ import annotations
@@ -43,17 +43,15 @@ __all__ = [
 
 
 def _theta_family(x, of_square):
-    """``of_square(x^2)`` on the positive entries of ``x`` and exactly 0 at 0.
+    """``of_square(x^2)``, exactly 0 at 0 through ``exp(-0.5 / 0) = 0``.
 
     Accepts scalars or arrays, rejects negative input.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("Theta requires nonnegative input")
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    xp = arr[pos]
-    out[pos] = of_square(xp * xp)
+    with np.errstate(divide="ignore"):
+        out = of_square(arr * arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,40 +144,40 @@ def luxemburg_scale(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray, weight
 
     ``f`` is a vectorised nondecreasing function with ``f(0) = 0`` that grows
     past ``1 / weight``, and ``w`` a 1-D array of nonnegative weights.  The
-    bracket starts at a tenth of the largest weight, is first grown/shrunk
-    geometrically and then bisected.  Returns 0 when every weight is 0, or
-    when the sum never exceeds 1 (the level set is all of ``(0, inf)``).
+    bracket starts at a tenth of the largest weight, is grown/shrunk
+    geometrically, then bisected to the relative width 1e-13 at every scale.
+    Returns 0 for zero weights, or a sum that never exceeds 1 (level set ``(0, inf)``).
     """
     top = float(np.max(w, initial=0.0))
     if top == 0.0:
         return 0.0
 
     def excess(delta: float) -> float:
-        with np.errstate(over="ignore"):
-            return weight * float(np.sum(f(w / delta))) - 1.0
+        return weight * float(np.sum(f(w / delta))) - 1.0
 
-    lo = top / 10.0
-    shrink = 0
-    while excess(lo) <= 0.0:
-        lo *= 0.5
-        shrink += 1
-        if shrink > 200:
-            return 0.0
-    hi = 2.0 * lo
-    grow = 0
-    while excess(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise ArithmeticError("modular does not drop below the unit level")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
+    with np.errstate(over="ignore"):
+        lo = top / 10.0
+        shrink = 0
+        while excess(lo) <= 0.0:
+            lo *= 0.5
+            shrink += 1
+            if shrink > 200:
+                return 0.0
+        hi = 2.0 * lo
+        grow = 0
+        while excess(hi) > 0.0:
+            hi *= 2.0
+            grow += 1
+            if grow > 200:
+                raise ArithmeticError("modular does not drop below the unit level")
+        for _ in range(120):  # subnormal w need the cap: their floats lie over 1e-13 apart
+            mid = 0.5 * (lo + hi)
+            if excess(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-13 * hi:
+                break
     return 0.5 * (lo + hi)
 
 

@@ -56,6 +56,26 @@ def orlicz_grid_min(phi, weights, n_grid=1_000, rounds=4):
     return best
 
 
+def _theta_family_masked(x, of_square):
+    """``of_square(x^2)`` on the positive entries of ``x``, and 0 elsewhere by a mask."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    xp = arr[pos]
+    out[pos] = of_square(xp * xp)
+    return float(out) if out.ndim == 0 else out
+
+
+def theta_masked(x):
+    """``Theta(x) = x^2 exp(-1/(2 x^2))`` with ``Theta(0) = 0`` set by a mask."""
+    return _theta_family_masked(x, lambda sq: sq * np.exp(-0.5 / sq))
+
+
+def theta_psi_masked(x):
+    """``x Theta'(x) - Theta(x) = (1 + x^2) exp(-1/(2 x^2))``, 0 at 0 by a mask."""
+    return _theta_family_masked(x, lambda sq: (1.0 + sq) * np.exp(-0.5 / sq))
+
+
 def expected_max_abs_gaussians(k):
     """E max of k independent |N(0,1)| by quadrature on the tail formula."""
     return quad(lambda t: 1.0 - (2.0 * norm.cdf(t) - 1.0) ** k, 0.0, np.inf)[0]

@@ -156,6 +156,18 @@ def test_exp_orlicz_stabilises_in_p_max():
         assert abs(v128 - v64) / v64 < 0.01
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e4, 1e12])
+def test_exp_orlicz_norms_homogeneous_at_p_max_128(scale):
+    # 1e4 * path would overflow x**128 in unscaled power sums
+    path = bm_path(3)
+    scaled = PathSample(path.space, path.depth, scale * path.values)
+    for norm in (
+        lambda p: besov.exp_orlicz_lp_norm(p, 2.0, 128),
+        lambda p: besov.besov_orlicz_norm(p, 0.5, 2.0, 128),
+    ):
+        assert norm(scaled) == pytest.approx(scale * norm(path), rel=1e-12, abs=0.0)
+
+
 def test_besov_orlicz_zero():
     assert besov.besov_orlicz_norm(constant_path(0.0), 0.5, 2.0) == 0.0
 

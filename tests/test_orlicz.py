@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besovbm import orlicz
 from besovbm.maxima import remark_bound
 
-from tests.oracles import luxemburg_grid_scan, orlicz_grid_min
+from tests.oracles import luxemburg_grid_scan, orlicz_grid_min, theta_masked, theta_psi_masked
 
 THETA = orlicz.theta()
 PHI2 = orlicz.phi_beta(2.0)
@@ -41,6 +41,27 @@ def test_theta_eval_vectorised():
     out = orlicz.theta_eval(xs)
     assert out.shape == (3,)
     assert out[0] == 0.0 and out[1] == pytest.approx(math.exp(-0.5))
+
+
+THETA_EDGES = [0.0, -0.0, 5e-324, 1e-170, 1e-160, 0.1, 0.5, 1.0, 2.0, 1e150, 1e300]
+
+
+@pytest.mark.parametrize(
+    "unmasked, masked", [(orlicz.theta_eval, theta_masked), (THETA.psi, theta_psi_masked)], ids=["theta", "psi"]
+)
+def test_theta_family_matches_the_masked_formula_bytewise(unmasked, masked):
+    rng = np.random.default_rng(29)
+    arrays = [np.array(THETA_EDGES)]
+    for size in (1, 3, 16, 1000):
+        x = 10.0 ** rng.uniform(-330.0, 300.0, size)
+        x[rng.random(size) < 0.2] = 0.0
+        arrays += [x, rng.uniform(0.0, 3.0, size)]
+    with np.errstate(divide="ignore", over="ignore"):
+        for x in THETA_EDGES + arrays + [rng.uniform(0.0, 3.0, (4, 5))]:
+            got, want = unmasked(x), masked(x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert math.isnan(unmasked(math.nan))  # the mask used to turn nan into 0
 
 
 def test_evaluators_nondecreasing_and_unbounded():
@@ -170,23 +191,29 @@ def test_norms_finite_at_every_scale(phi, w, e):
 
 
 @PROPERTY_SETTINGS
-@given(phi=st.sampled_from([THETA, PHI2]), w=UNIT_WEIGHTS, e=st.floats(-8.0, 12.0))
+@given(phi=st.sampled_from([THETA, PHI2]), w=UNIT_WEIGHTS, e=st.floats(-12.0, 12.0))
+@example(phi=THETA, w=np.array([1.0, 0.5]), e=-12.0)
 def test_orlicz_norm_sandwich_and_homogeneity_across_scales(phi, w, e):
     s = 10.0**e
     rho, full = orlicz.luxemburg_norm(phi, s * w), orlicz.orlicz_norm(phi, s * w)
     assert rho <= full <= 2.0 * rho
+    assert rho == pytest.approx(s * orlicz.luxemburg_norm(phi, w), rel=1e-9, abs=0.0)
     assert full == pytest.approx(s * orlicz.orlicz_norm(phi, w), rel=1e-9, abs=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="luxemburg_scale stops on the absolute bracket width 1e-13, so a scale "
-    "near 1e-12 keeps only about three digits (ROADMAP item 1)",
-)
 def test_orlicz_norm_homogeneity_at_1e_minus_12():
     w = np.array([1.0, 0.5])
     expected = 1e-12 * orlicz.orlicz_norm(THETA, w)
     assert orlicz.orlicz_norm(THETA, 1e-12 * w) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
+def test_norms_of_subnormal_weights_stay_homogeneous(phi):
+    # neighbouring subnormals lie further apart than the relative stop, so
+    # only the bisection's step cap ends these searches
+    s, w = 1e-312, np.array([1.0, 0.5])
+    for norm in (orlicz.luxemburg_norm, orlicz.orlicz_norm):
+        assert norm(phi, s * w) == pytest.approx(s * norm(phi, w), rel=1e-9, abs=0.0)
 
 
 def test_orlicz_norm_zero():
