@@ -1,7 +1,8 @@
 """Walk through the Orlicz sequence-norm machinery.
 
 Shows the function Theta(x) = x^2 exp(-1/(2x^2)), its modular, the two
-equivalent norms (Luxemburg by bisection, Orlicz by the same bisection on
+equivalent norms (Luxemburg by bisection, replayed after an Illinois search
+has located the unit level, Orlicz by the same search on
 psi(x) = x Theta'(x) - Theta(x), the level function of its minimiser),
 and the square-root-log growth of the norm of geometric sequences.
 

@@ -243,8 +243,9 @@ def besov_orlicz_norm(
 def luxemburg_function_norm(path: PathSample, beta: float) -> float:
     """Luxemburg norm of t -> |path(t)| in the Orlicz space of exp(|x|^beta) - 1.
 
-    Bisection on ``inf{delta > 0 : 2^-N sum_k PhiBeta(|values_k| / delta) <= 1}``
-    with the left-endpoint sum over [0, 1); ``beta`` must be at least 1.
+    ``inf{delta > 0 : 2^-N sum_k PhiBeta(|values_k| / delta) <= 1}`` with the
+    left-endpoint sum over [0, 1), found by :func:`orlicz.luxemburg_scale`
+    (Illinois locate, then the replayed bisection); ``beta`` must be at least 1.
     """
     phi = orlicz.phi_beta(beta)
     # unfiltered: dropping the zero norms would change np.sum's pairwise order

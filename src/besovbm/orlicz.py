@@ -15,9 +15,12 @@ Two norms are computed for a Young function ``Phi`` and a sequence ``a``:
   minimiser ``k = 1/d`` has ``d`` the Luxemburg norm of ``a`` under
   ``psi(x) = x Phi'(x) - Phi(x)``.
 
-Both are found by the one bracketing-and-bisection search of
-:func:`luxemburg_scale`, whose relative stop makes them homogeneous at every
-scale.  The two are equivalent within a factor two: ``rho <= |.|_Phi <= 2 rho``.
+Both are found by the one search of :func:`luxemburg_scale`: a bracket,
+an Illinois false-position search that locates the unit level, and a replay
+of the bisection of the bracket that evaluates only the midpoints the located
+interval leaves undecided.  It returns the bisection's float, and its relative
+stop makes both norms homogeneous at every scale.  The two are equivalent
+within a factor two: ``rho <= |.|_Phi <= 2 rho``.
 """
 
 from __future__ import annotations
@@ -144,41 +147,71 @@ def luxemburg_scale(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray, weight
 
     ``f`` is a vectorised nondecreasing function with ``f(0) = 0`` that grows
     past ``1 / weight``, and ``w`` a 1-D array of nonnegative weights.  The
-    bracket starts at a tenth of the largest weight, is grown/shrunk
-    geometrically, then bisected to the relative width 1e-13 at every scale.
+    weights are scaled by the power of two that brings their peak into
+    ``[1/2, 1)``, which is exact and undone at the end, so subnormal weights
+    get a nonzero bracket too.  The bracket starts at a tenth of the peak and
+    is grown/shrunk geometrically.  The result is the float that bisecting the
+    bracket to the relative width 1e-13 gives.  An Illinois false-position
+    search first narrows the unit level to ``(a, b)`` of relative width
+    1e-14, with the excess known positive at ``a`` and nonpositive at ``b``;
+    the bisection is then replayed and evaluates only the midpoints strictly
+    inside ``(a, b)``.  The excess does not increase as ``delta`` grows, so
+    every other midpoint takes the side an evaluation would give it, and the
+    replay returns the bisection's float in about half its evaluations.
     Returns 0 for zero weights, or a sum that never exceeds 1 (level set ``(0, inf)``).
     """
     top = float(np.max(w, initial=0.0))
     if top == 0.0:
         return 0.0
+    e = math.frexp(top)[1]
+    w = np.ldexp(w, -e)
 
     def excess(delta: float) -> float:
         return weight * float(np.sum(f(w / delta))) - 1.0
 
     with np.errstate(over="ignore"):
-        lo = top / 10.0
+        lo = math.ldexp(top, -e) / 10.0
         shrink = 0
-        while excess(lo) <= 0.0:
+        while (fa := excess(lo)) <= 0.0:
             lo *= 0.5
             shrink += 1
             if shrink > 200:
                 return 0.0
-        hi = 2.0 * lo
+        a, hi = lo, 2.0 * lo
         grow = 0
-        while excess(hi) > 0.0:
+        while (fb := excess(hi)) > 0.0:
+            a, fa = hi, fb
             hi *= 2.0
             grow += 1
             if grow > 200:
                 raise ArithmeticError("modular does not drop below the unit level")
-        for _ in range(120):  # subnormal w need the cap: their floats lie over 1e-13 apart
+        b, moved = hi, 0  # +1 after a step that moved a, -1 after one that moved b
+        while b - a > 1e-14 * b:
+            x = 0.5 * (a + b)  # the fallback while fa overflows or a step leaves (a, b)
+            if math.isfinite(fa):
+                step = a + (b - a) * (fa / (fa - fb))
+                if a < step < b:
+                    x = step
+            fx = excess(x)
+            if fx > 0.0:
+                a, fa = x, fx
+                if moved > 0:
+                    fb *= 0.5
+                moved = 1
+            else:
+                b, fb = x, fx
+                if moved < 0:
+                    fa *= 0.5
+                moved = -1
+        for _ in range(120):  # scaled weights stop within about 45 halvings; the cap only bounds the loop
             mid = 0.5 * (lo + hi)
-            if excess(mid) > 0.0:
+            if mid <= a or (mid < b and excess(mid) > 0.0):
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= 1e-13 * hi:
                 break
-    return 0.5 * (lo + hi)
+    return math.ldexp(0.5 * (lo + hi), e)
 
 
 def luxemburg_norm(phi: OrliczFunction, a) -> float:
@@ -213,8 +246,8 @@ def geometric_rho_ratio(alpha: float, truncation: int) -> float:
 
     ``alpha`` must lie in ``[1/2, 1)``.  The truncation length is extended
     automatically until the first dropped entry is below 1e-12, after which
-    the dropped tail cannot move the bisection (its modular terms underflow
-    to zero at any relevant scale).
+    the dropped tail cannot move the Luxemburg search (its modular terms
+    underflow to zero at any relevant scale).
     """
     if not 0.5 <= alpha < 1.0:
         raise ValueError("alpha must lie in [1/2, 1)")

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared across the test modules.
 
-These stay deliberately dumb: grid scans and quadrature only, no bisection
-and no code paths shared with the library routines they are used to check.
+These stay deliberately dumb: grid scans, quadrature and a plain bisection,
+with no code paths shared with the library routines they are used to check.
 """
 
 import numpy as np
@@ -28,6 +28,50 @@ def luxemburg_grid_scan(phi, weights, n_grid=10_000, rounds=3):
             mods = phi.evaluate(np.outer(1.0 / ds, w)).sum(axis=1)
         i = int(np.argmax(mods <= 1.0))
         lo, hi = ds[max(i - 1, 0)], ds[i]
+    return 0.5 * (lo + hi)
+
+
+def luxemburg_scale_bisect(f, w, weight=1.0):
+    """Smallest ``delta > 0`` with ``weight * sum_n f(w_n / delta) <= 1`` by plain bisection.
+
+    ``f`` is a vectorised nondecreasing function with ``f(0) = 0`` that grows
+    past ``1 / weight``, and ``w`` a 1-D array of nonnegative weights.  The
+    bracket starts at a tenth of the largest weight, is grown/shrunk
+    geometrically, then bisected to the relative width 1e-13 at every scale,
+    evaluating ``f`` at every midpoint.  Returns 0 for zero weights, or a sum
+    that never exceeds 1 (level set ``(0, inf)``).  On weights in the normal
+    float range, ``orlicz.luxemburg_scale`` must return this float bit for bit.
+    """
+    top = float(np.max(w, initial=0.0))
+    if top == 0.0:
+        return 0.0
+
+    def excess(delta: float) -> float:
+        return weight * float(np.sum(f(w / delta))) - 1.0
+
+    with np.errstate(over="ignore"):
+        lo = top / 10.0
+        shrink = 0
+        while excess(lo) <= 0.0:
+            lo *= 0.5
+            shrink += 1
+            if shrink > 200:
+                return 0.0
+        hi = 2.0 * lo
+        grow = 0
+        while excess(hi) > 0.0:
+            hi *= 2.0
+            grow += 1
+            if grow > 200:
+                raise ArithmeticError("modular does not drop below the unit level")
+        for _ in range(120):  # subnormal w need the cap: their floats lie over 1e-13 apart
+            mid = 0.5 * (lo + hi)
+            if excess(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-13 * hi:
+                break
     return 0.5 * (lo + hi)
 
 

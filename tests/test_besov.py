@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from besovbm import besov
+from besovbm import besov, orlicz
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
 from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
+
+from tests.oracles import luxemburg_scale_bisect
 
 SCALAR = finite_lq(1, 2.0)
 
@@ -208,6 +210,17 @@ def test_luxemburg_function_norm_constant_closed_form():
 def test_luxemburg_function_norm_beta_floor():
     with pytest.raises(ValueError):
         besov.luxemburg_function_norm(constant_path(1.0), 0.5)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_luxemburg_function_norm_is_that_of_the_plain_bisection_bitwise(beta, monkeypatch):
+    paths = [bm_path(40 + i, depth=10) for i in range(8)]
+    paths += [bm_path(60 + i, depth=8, sigma=(1.0, 0.5, 0.25), space=finite_lq(3, 2.0)) for i in range(4)]
+    paths += [PathSample(p.space, p.depth, s * p.values) for p in paths[:4] for s in (1e-150, 1e150)]
+    got = [besov.luxemburg_function_norm(p, beta) for p in paths]
+    monkeypatch.setattr(orlicz, "luxemburg_scale", luxemburg_scale_bisect)
+    want = [besov.luxemburg_function_norm(p, beta) for p in paths]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_exp_orlicz_below_luxemburg_on_bm():

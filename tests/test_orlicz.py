@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,17 @@ from hypothesis import strategies as st
 from besovbm import orlicz
 from besovbm.maxima import remark_bound
 
-from tests.oracles import luxemburg_grid_scan, orlicz_grid_min, theta_masked, theta_psi_masked
+from tests.oracles import (
+    luxemburg_grid_scan,
+    luxemburg_scale_bisect,
+    orlicz_grid_min,
+    theta_masked,
+    theta_psi_masked,
+)
 
 THETA = orlicz.theta()
 PHI2 = orlicz.phi_beta(2.0)
+LEVEL_FUNCTIONS = {"theta": THETA, "phi1": orlicz.phi_beta(1.0), "phi2": PHI2, "phi3": orlicz.phi_beta(3.0)}
 
 # Frozen by bisection on (1/d^2) exp(-d^2/2) = 1, confirmed by a 2e6-point
 # grid scan of the same scalar equation.
@@ -207,10 +216,58 @@ def test_orlicz_norm_homogeneity_at_1e_minus_12():
     assert orlicz.orlicz_norm(THETA, 1e-12 * w) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["evaluate", "psi"])
+@pytest.mark.parametrize("name", LEVEL_FUNCTIONS)
+def test_luxemburg_scale_is_the_plain_bisection_bitwise(name, kind):
+    # normal-range weights only: there the power-of-two rescale is exact
+    f = getattr(LEVEL_FUNCTIONS[name], kind)
+    cases = random_sequences(200, seed=20260808)
+    cases += [10.0**e * w for e in range(-300, 301, 25) for w in random_sequences(4, seed=e + 300)]
+    for w in cases:
+        got, want = orlicz.luxemburg_scale(f, w), luxemburg_scale_bisect(f, w)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("name", LEVEL_FUNCTIONS)
+def test_norms_are_those_of_the_plain_bisection_bitwise(name, monkeypatch):
+    phi = LEVEL_FUNCTIONS[name]
+    seqs = random_sequences(200, seed=20260808)
+    got = [(orlicz.luxemburg_norm(phi, w), orlicz.orlicz_norm(phi, w)) for w in seqs]
+    monkeypatch.setattr(orlicz, "luxemburg_scale", luxemburg_scale_bisect)
+    want = [(orlicz.luxemburg_norm(phi, w), orlicz.orlicz_norm(phi, w)) for w in seqs]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
+def test_solves_average_at_most_25_level_evaluations(phi):
+    # the plain bisection takes about 50 per solve on these sequences
+    seqs = random_sequences(200, seed=20260808)
+    for norm, kind in ((orlicz.luxemburg_norm, "evaluate"), (orlicz.orlicz_norm, "psi")):
+        calls, level = [], getattr(phi, kind)
+
+        def counted(x):
+            calls.append(None)
+            return level(x)
+
+        for w in seqs:
+            norm(dataclasses.replace(phi, **{kind: counted}), w)
+        assert len(calls) <= 25 * len(seqs), kind
+
+
+@pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
+def test_norms_of_the_smallest_subnormals_are_finite_and_positive(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in ([5e-324], [1e-323]):
+            for norm in (orlicz.luxemburg_norm, orlicz.orlicz_norm):
+                value = norm(phi, w)
+                assert math.isfinite(value) and value > 0.0
+
+
 @pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
 def test_norms_of_subnormal_weights_stay_homogeneous(phi):
-    # neighbouring subnormals lie further apart than the relative stop, so
-    # only the bisection's step cap ends these searches
+    # the search runs on the weights scaled by a power of two into the normal
+    # range, so only the final rounding to a subnormal separates these norms
     s, w = 1e-312, np.array([1.0, 0.5])
     for norm in (orlicz.luxemburg_norm, orlicz.orlicz_norm):
         assert norm(phi, s * w) == pytest.approx(s * norm(phi, w), rel=1e-9, abs=0.0)
