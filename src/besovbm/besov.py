@@ -14,6 +14,17 @@ Row norms are taken ``NORM_BLOCK`` elements at a time into one preallocated
 vector, so no path-sized temporary (differences, absolute values, squares)
 is ever allocated.  Each row's norm is computed exactly as in a single
 whole-array call, so the blocking never changes a result.
+
+The exponential Orlicz sups stop their integer-p sweep early.  The grid
+weight times the number of grid points is at most 1, so each L^p term is at
+most its norm vector's peak: ``||f||_{L^p(w)} <= max|f|``.  Every total is
+then at most ``B``, the same sum of peaks (``max|W|`` for the L^p norm,
+``max|W| + max_n 2^(n alpha) max|Delta_n|`` for the Besov norm), and every
+weighted term past p is at most ``(p+1)^(-1/beta) B``.  Each vector's running
+powers stop at ``POWER_CAP`` (or the largest reported p, if larger); where
+``(POWER_CAP+1)^(-1/beta) B (1 + BOUND_SLACK)`` lies below the sup so far,
+that sup is the answer, and otherwise the full sweep is redone.  The result
+is bit-identical to the full sweep followed by :func:`p_weighted_sup`.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from .spaces import row_blocks, space_norm
 
 __all__ = [
     "SCALE_MARGIN",
+    "POWER_CAP",
     "default_n_max",
     "BesovParams",
     "NormReport",
@@ -46,6 +58,10 @@ __all__ = [
 
 SCALE_MARGIN = 6
 DEFAULT_P_MAX = 64
+# Running powers per norm vector before the early-exit bound is checked, and
+# the relative slack that covers rounding in that bound.
+POWER_CAP = 32
+BOUND_SLACK = 1e-9
 
 
 def default_n_max(depth: int) -> int:
@@ -167,6 +183,33 @@ def besov_norm(path: PathSample, params: BesovParams) -> NormReport:
     return NormReport(lp_part, semi, lp_part + semi, per_scale)
 
 
+def _power_sums(norms: np.ndarray, weight: float, count: int) -> np.ndarray:
+    """``(weight sum norms**p)^(1/p)`` for p = 1..count from one running power.
+
+    The running power is updated in place, one multiply per element and power.
+    """
+    out = np.empty(count)
+    run = np.array(norms)
+    for p in range(1, count + 1):
+        if p > 1:
+            np.multiply(run, norms, out=run)
+        out[p - 1] = (weight * run.sum()) ** (1.0 / p)
+    return out
+
+
+def _lp_prefix(norms: np.ndarray, weight: float, p_max: int, count: int) -> tuple[np.ndarray, float]:
+    """``integer_p_lp_norms(norms, weight, p_max)[:count]``, the same floats, and ``max(norms)``.
+
+    The power-of-two rescale is decided by ``p_max``, not by ``count``, so a
+    prefix never differs from the full profile.
+    """
+    peak = float(np.max(norms, initial=0.0))
+    e = math.frexp(peak)[1]
+    if abs(e) * p_max > 900:
+        return np.ldexp(_power_sums(np.ldexp(norms, -e), weight, count), e), peak
+    return _power_sums(norms, weight, count), peak
+
+
 def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarray:
     """L^p norms for p = 1..p_max from one pass of running powers.
 
@@ -174,57 +217,113 @@ def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarr
     element and power.  Where ``max(norms)**p_max`` could leave the float
     range, the norms are first scaled by the power of two ``2^-e`` that
     brings their peak into ``[1/2, 1)``, which is exact and undone at the end.
+    This full sweep is the reference that the early-exit sups reproduce.
     """
-    e = math.frexp(float(np.max(norms, initial=0.0)))[1]
-    if abs(e) * p_max > 900:
-        return np.ldexp(integer_p_lp_norms(np.ldexp(norms, -e), weight, p_max), e)
-    out = np.empty(p_max)
-    run = np.array(norms)
-    for p in range(1, p_max + 1):
-        if p > 1:
-            np.multiply(run, norms, out=run)
-        out[p - 1] = (weight * run.sum()) ** (1.0 / p)
-    return out
+    return _lp_prefix(norms, weight, p_max, p_max)[0]
+
+
+def _p_weights(count: int, beta: float) -> np.ndarray:
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return np.arange(1, count + 1) ** (-1.0 / beta)
 
 
 def p_weighted_sup(values, beta: float):
     """``max_p p^(-1/beta) values[..., p - 1]`` over p = 1, 2, ... along the last axis."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     values = np.asarray(values)
-    ps = np.arange(1, values.shape[-1] + 1)
-    return np.max(ps ** (-1.0 / beta) * values, axis=-1)
+    return np.max(_p_weights(values.shape[-1], beta) * values, axis=-1)
+
+
+def _capped_sup(weights: np.ndarray, values: np.ndarray, bound) -> float | None:
+    """The weighted sup over all ``len(weights)`` exponents, from the first ``len(values)``.
+
+    ``bound`` caps every later value, so the later weighted terms are at most
+    ``weights[len(values)] * bound``.  Where that, with a relative slack of
+    ``BOUND_SLACK`` for rounding, stays below the sup of the prefix, the
+    prefix sup is the whole sup.  Where it does not (a NaN or infinite bound
+    never does), returns None.
+    """
+    count = len(values)
+    sup = np.max(weights[:count] * values)
+    if count == len(weights) or weights[count] * bound * (1.0 + BOUND_SLACK) < sup:
+        return sup
+    return None
 
 
 def exp_orlicz_lp_norm(
     path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX, sub_interval=(0.0, 1.0)
 ) -> float:
-    """sup over integer p in [1, p_max] of p^(-1/beta) L^p norm of the path."""
+    """sup over integer p in [1, p_max] of p^(-1/beta) L^p norm of the path.
+
+    Each L^p norm is at most the peak value norm, since the grid weight times
+    the number of grid points is at most 1.  So the running powers stop at
+    ``POWER_CAP`` once ``(POWER_CAP + 1)^(-1/beta)`` times the peak lies below
+    the sup so far; otherwise the full sweep runs.  The result is the same
+    float as ``p_weighted_sup(integer_p_lp_norms(...), beta)``.
+    """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     ka, kb = _interval_indices(path, sub_interval)
-    lp = integer_p_lp_norms(_row_norms(path.space, path.values[ka:kb]), 2.0**-path.depth, p_max)
-    return float(p_weighted_sup(lp, beta))
+    norms = _row_norms(path.space, path.values[ka:kb])
+    weight = 2.0**-path.depth
+    weights = _p_weights(p_max, beta)
+    lp, peak = _lp_prefix(norms, weight, p_max, min(p_max, POWER_CAP))
+    sup = _capped_sup(weights, lp, peak)
+    if sup is None:
+        sup = np.max(weights * integer_p_lp_norms(norms, weight, p_max))
+    return float(sup)
 
 
 def integer_p_besov_totals(
-    path: PathSample, alpha: float, p_max: int, n_max: int | None = None
+    path: PathSample,
+    alpha: float,
+    p_max: int,
+    n_max: int | None = None,
+    beta: float | None = None,
+    p_head: int = 0,
 ) -> np.ndarray:
     """Besov norms (q = inf) for every integer p = 1..p_max in one sweep.
 
     Entry p-1 equals ``besov_norm(path, BesovParams(alpha, p, inf, n_max)).total``;
     the increment-norm vectors are shared across p, which is what makes the
-    exponential Orlicz--Besov supremum affordable.
+    exponential Orlicz--Besov supremum affordable.  This full sweep is the
+    reference.
+
+    With ``beta``, returns ``p_head + 1`` numbers instead: the totals for
+    p = 1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max.  These
+    are the same floats as the full sweep and ``p_weighted_sup`` give, but
+    each norm vector's running powers stop at ``max(POWER_CAP, p_head)``.
+    The grid weight times the number of terms is at most 1, so every L^p
+    term is at most its vector's peak and every total is at most
+    ``B = max|W| + max_n 2^(n alpha) max|Delta_n|``; where the next weight
+    times ``B`` stays below the sup so far, no later p can raise it.  Where
+    the bound does not settle the sup, the path is redone with the full
+    sweep, so the result is bit-identical to it either way.
     """
     if n_max is None:
         n_max = default_n_max(path.depth)
+    if beta is None:
+        count = p_max
+    else:
+        weights = _p_weights(p_max, beta)
+        count = min(p_max, max(POWER_CAP, p_head))
     weight = 2.0**-path.depth
-    lp = integer_p_lp_norms(_row_norms(path.space, path.values[: path.grid_size]), weight, p_max)
-    sup_terms = np.zeros(p_max)
+    lp, bound = _lp_prefix(_row_norms(path.space, path.values[: path.grid_size]), weight, p_max, count)
+    sup_terms = np.zeros(count)
+    sup_peak = 0.0
     for n in range(1, n_max + 1):
-        d_n = integer_p_lp_norms(_increment_norms(path, n), weight, p_max)
-        np.maximum(sup_terms, 2.0 ** (n * alpha) * d_n, out=sup_terms)
-    return lp + sup_terms
+        scale = 2.0 ** (n * alpha)
+        d_n, peak = _lp_prefix(_increment_norms(path, n), weight, p_max, count)
+        np.maximum(sup_terms, scale * d_n, out=sup_terms)
+        sup_peak = np.maximum(sup_peak, scale * peak)  # propagates NaN
+    totals = lp + sup_terms
+    if beta is None:
+        return totals
+    sup = _capped_sup(weights, totals, bound + sup_peak)
+    if sup is None:
+        totals = integer_p_besov_totals(path, alpha, p_max, n_max)
+        sup = np.max(weights * totals)
+    return np.append(totals[:p_head], sup)
 
 
 def besov_orlicz_norm(
@@ -234,10 +333,14 @@ def besov_orlicz_norm(
     p_max: int = DEFAULT_P_MAX,
     n_max: int | None = None,
 ) -> float:
-    """sup over integer p <= p_max of p^(-1/beta) times the B^alpha_{p,inf} norm."""
+    """sup over integer p <= p_max of p^(-1/beta) times the B^alpha_{p,inf} norm.
+
+    Served by the early-exit sweep of :func:`integer_p_besov_totals`; the
+    same float as ``p_weighted_sup`` of the full profile.
+    """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
-    return float(p_weighted_sup(integer_p_besov_totals(path, alpha, p_max, n_max), beta))
+    return float(integer_p_besov_totals(path, alpha, p_max, n_max, beta)[-1])
 
 
 def luxemburg_function_norm(path: PathSample, beta: float) -> float:

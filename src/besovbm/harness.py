@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import besov
-from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals, p_weighted_sup
+from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
 from .maxima import empirical_sup_mean
 from .simulate import (
     GaussianVarSpec,
@@ -589,19 +589,21 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # from 3.73 to 4.45 s (+19 %) and its peak RSS from 63.9 to 73.6 MB
     # (+15 %); with MALLOC_ARENA_MAX=1 the peak stayed at 73.9 MB, so the
     # cost is the second path in flight, not allocator retention.
-    profiles = np.array(
+    # Per path: the Besov totals for p = 1..max(p_ints), then the weighted
+    # sup over p <= p_max, from the early-exit sweep.
+    heads = np.array(
         map_paths(
             cfg,
             [(space, sigma) for _, space, sigma in models],
-            lambda path: integer_p_besov_totals(path, 0.5, cfg.p_max, n_max),
+            lambda path: integer_p_besov_totals(path, 0.5, cfg.p_max, n_max, cfg.beta, max(p_ints)),
             workers=worker_count(),
         )
     )
     rows = []
     for s, (label, space, sigma) in enumerate(models):
         refs = _reference_moments(space, sigma, p_ints, _draw_seed(cfg, s, "reference"))
-        totals = profiles[s][:, [p - 1 for p in p_ints]]
-        orlicz_vals = p_weighted_sup(profiles[s], cfg.beta)
+        totals = heads[s][:, [p - 1 for p in p_ints]]
+        orlicz_vals = heads[s][:, -1]
         ratios = []
         for j, p in enumerate(p_ints):
             estimate, ci = _mean_ci(totals[:, j])

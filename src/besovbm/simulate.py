@@ -27,7 +27,6 @@ __all__ = [
     "GaussianVarSpec",
     "EnsembleSpec",
     "sample_bm",
-    "sample_diag_gaussian",
     "sampled_norms",
     "gaussian_abs_moment",
     "worker_count",
@@ -117,12 +116,6 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
     steps *= scale * 2.0 ** (-depth / 2.0)
     np.cumsum(steps, axis=0, out=steps)
     return PathSample(space, depth, values)
-
-
-def sample_diag_gaussian(spec: GaussianVarSpec, seed: RngSeed) -> np.ndarray:
-    """One draw of the diagonal Gaussian vector described by ``spec``."""
-    sig = spec.padded_sigma()
-    return sig * seed.generator().standard_normal(spec.space.dim)
 
 
 def gaussian_abs_moment(p: float) -> float:

@@ -346,3 +346,88 @@ def test_increment_and_value_norms_match_whole_array(dim, exponent):
         d_n = _reference_power_norms(space_norm(space, path.values[s:n] - path.values[: n - s]), weight, 16)
         np.maximum(sup_terms, 2.0 ** (scale * 0.5) * d_n, out=sup_terms)
     assert np.array_equal(besov.integer_p_besov_totals(path, 0.5, 16, 9), lp + sup_terms)
+
+
+# --- early exit over p against the full sweep ----------------------------------
+
+DIM16_SIGMA = tuple(0.7 ** np.arange(16))
+EARLY_EXIT_MODELS = {
+    "scalar": (SCALAR, (1.0,)),
+    "l2": (truncated_lp(2.0, 16), DIM16_SIGMA),
+    "l1": (truncated_lp(1.0, 16), DIM16_SIGMA),
+    "linf": (truncated_lp(math.inf, 16), DIM16_SIGMA),
+}
+
+
+def _assert_early_exit_matches(path, betas, p_max, p_head=8):
+    """Early-exit sups against the full sweeps followed by p_weighted_sup."""
+    n_max = besov.default_n_max(path.depth)
+    totals = besov.integer_p_besov_totals(path, 0.5, p_max, n_max)
+    lp = besov.integer_p_lp_norms(besov._row_norms(path.space, path.values[: path.grid_size]), 2.0**-path.depth, p_max)
+    for beta in betas:
+        sup = besov.p_weighted_sup(totals, beta)
+        got = besov.integer_p_besov_totals(path, 0.5, p_max, n_max, beta, p_head)
+        assert np.array_equal(got, np.append(totals[:p_head], sup), equal_nan=True)
+        assert np.array_equal(besov.exp_orlicz_lp_norm(path, beta, p_max), besov.p_weighted_sup(lp, beta), equal_nan=True)
+    assert np.array_equal(besov.besov_orlicz_norm(path, 0.5, beta, p_max), sup, equal_nan=True)
+
+
+@pytest.mark.parametrize("depth", [10, 16])
+@pytest.mark.parametrize("model", sorted(EARLY_EXIT_MODELS))
+def test_early_exit_sups_equal_the_full_sweep(model, depth):
+    space, sigma = EARLY_EXIT_MODELS[model]
+    path = sample_bm(space, sigma, depth, RngSeed(271, depth))
+    for scale in (1e-12, 1.0, 3e9):  # 3e9 takes the power-of-two rescale at p_max 64 and 128
+        scaled = PathSample(space, depth, scale * path.values)
+        for p_max in (8, 64, 128):
+            _assert_early_exit_matches(scaled, (1.0, 2.0, 3.0), p_max)
+
+
+def _spike_path(depth=10):
+    # L^p grows towards the peak as 2^(-depth/p), so the bound at p = 33 stays above the sup
+    values = np.zeros(((1 << depth) + 1, 1))
+    values[100] = 1.0
+    return PathSample(SCALAR, depth, values)
+
+
+def _recorded_power_counts(monkeypatch):
+    counts = []
+    real = besov._power_sums
+
+    def counting(norms, weight, count):
+        counts.append(count)
+        return real(norms, weight, count)
+
+    monkeypatch.setattr(besov, "_power_sums", counting)
+    return counts
+
+
+def test_early_exit_falls_back_to_the_full_sweep(monkeypatch):
+    path = _spike_path()
+    counts = _recorded_power_counts(monkeypatch)
+    besov.besov_orlicz_norm(path, 0.5, 3.0, 128)
+    besov.exp_orlicz_lp_norm(path, 3.0, 128)
+    # the bound settled neither sup, so both redid the full sweep
+    assert counts.count(128) == besov.default_n_max(path.depth) + 2
+    monkeypatch.undo()
+    for p_max in (64, 128):
+        _assert_early_exit_matches(path, (3.0,), p_max)
+
+
+def test_early_exit_propagates_nan():
+    path = bm_path(5, depth=10)
+    values = path.values.copy()
+    values[300, 0] = math.nan
+    broken = PathSample(path.space, path.depth, values)
+    _assert_early_exit_matches(broken, (2.0,), 64)
+    assert math.isnan(besov.besov_orlicz_norm(broken, 0.5, 2.0))
+
+
+def test_early_exit_stops_the_running_powers_at_the_cap(monkeypatch):
+    path = bm_path(7, depth=12)
+    counts = _recorded_power_counts(monkeypatch)
+    besov.besov_orlicz_norm(path, 0.5, 2.0, 128)
+    besov.exp_orlicz_lp_norm(path, 2.0, 128)
+    # one sweep per norm vector: the values, then the n_max increment scales
+    assert len(counts) == besov.default_n_max(path.depth) + 2
+    assert max(counts) <= besov.POWER_CAP < 128

@@ -10,7 +10,6 @@ from besovbm.simulate import (
     gaussian_abs_moment,
     mean_norm_mc,
     sample_bm,
-    sample_diag_gaussian,
 )
 from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
 
@@ -89,20 +88,6 @@ def test_disjoint_increments_uncorrelated():
     b = values[:, 192] - values[:, 128]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
-
-
-def test_sample_diag_gaussian_matches_its_law():
-    spec = GaussianVarSpec(truncated_lp(2.0, 3), (0.5, 0.2, 0.0))
-    seed = RngSeed(5, 3)
-    draw = sample_diag_gaussian(spec, seed)
-    manual = spec.padded_sigma() * seed.generator().standard_normal(3)
-    assert np.array_equal(draw, manual)
-    assert draw[2] == 0.0
-
-
-def test_sample_diag_gaussian_zero_sigma():
-    spec = GaussianVarSpec(finite_lq(2, 2.0), (0.0, 0.0))
-    assert np.all(sample_diag_gaussian(spec, RngSeed(1)) == 0.0)
 
 
 def test_mean_norm_scalar_folded_normal():
