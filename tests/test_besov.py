@@ -377,7 +377,9 @@ def _assert_early_exit_matches(path, betas, p_max, p_head=8):
 def test_early_exit_sups_equal_the_full_sweep(model, depth):
     space, sigma = EARLY_EXIT_MODELS[model]
     path = sample_bm(space, sigma, depth, RngSeed(271, depth))
-    for scale in (1e-12, 1.0, 3e9):  # 3e9 takes the power-of-two rescale at p_max 64 and 128
+    # all but 1.0 take the power-of-two rescale at p_max 64 and 128; at 1e6 the
+    # first POWER_CAP powers alone would not need it
+    for scale in (1e-12, 1.0, 1e6, 3e9):
         scaled = PathSample(space, depth, scale * path.values)
         for p_max in (8, 64, 128):
             _assert_early_exit_matches(scaled, (1.0, 2.0, 3.0), p_max)
@@ -428,6 +430,6 @@ def test_early_exit_stops_the_running_powers_at_the_cap(monkeypatch):
     counts = _recorded_power_counts(monkeypatch)
     besov.besov_orlicz_norm(path, 0.5, 2.0, 128)
     besov.exp_orlicz_lp_norm(path, 2.0, 128)
-    # one sweep per norm vector: the values, then the n_max increment scales
+    # one sweep per norm vector: the values and n_max increment vectors, then the values
     assert len(counts) == besov.default_n_max(path.depth) + 2
     assert max(counts) <= besov.POWER_CAP < 128
