@@ -22,7 +22,7 @@ then at most ``B``, the same sum of peaks (``max|W|`` for the L^p norm,
 ``max|W| + max_n 2^(n alpha) max|Delta_n|`` for the Besov norm), and every
 weighted term past p is at most ``(p+1)^(-1/beta) B``.  Each vector's running
 powers stop at ``POWER_CAP`` (or the largest reported p, if larger); where
-``(POWER_CAP+1)^(-1/beta) B (1 + BOUND_SLACK)`` lies below the sup so far,
+``(POWER_CAP+1)^(-1/beta) B (1 + BOUND_SLACK)`` is at most the sup so far,
 that sup is the answer, and otherwise the full sweep is redone.  The result
 is bit-identical to the full sweep followed by :func:`p_weighted_sup`.
 """
@@ -239,13 +239,14 @@ def _capped_sup(weights: np.ndarray, values: np.ndarray, bound) -> float | None:
 
     ``bound`` caps every later value, so the later weighted terms are at most
     ``weights[len(values)] * bound``.  Where that, with a relative slack of
-    ``BOUND_SLACK`` for rounding, stays below the sup of the prefix, the
-    prefix sup is the whole sup.  Where it does not (a NaN or infinite bound
-    never does), returns None.
+    ``BOUND_SLACK`` for rounding, is at most the sup of the prefix, no later
+    term exceeds it and the prefix sup is the whole sup (a zero path settles
+    at once).  Where it is not, returns None: a NaN bound never settles the
+    sup, and an infinite one only when the prefix sup is infinite too.
     """
     count = len(values)
     sup = np.max(weights[:count] * values)
-    if count == len(weights) or weights[count] * bound * (1.0 + BOUND_SLACK) < sup:
+    if count == len(weights) or weights[count] * bound * (1.0 + BOUND_SLACK) <= sup:
         return sup
     return None
 

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``rho`` (Luxemburg sequence norms), ``besov-norm`` (path norms
-from a CSV or an internally sampled path), and the experiment drivers
-``bm-limit``, ``divergence``, ``maximal``, ``moments``, ``tau``,
-``increment-variance``.  Shared flags: ``--config`` (flat key = value file)
-and ``--seed``, ``--samples``, ``--paths``, ``--depth``, ``--out``,
-``--format``, each of which overrides one config key (see
-:data:`EXPERIMENT_FLAG_KEYS`); a key or flag the chosen experiment never
-reads is an error.  The exit code is 0 iff every verdict passes, and 2 on
-an error.
+from a CSV or an internally sampled path), and one subcommand per entry of
+:data:`besovbm.harness.EXPERIMENTS`: ``bm-limit``, ``divergence``,
+``moments``, ``tau``, ``maximal``, ``increment-variance``.  Shared flags:
+``--config`` (flat key = value file) and ``--seed``, ``--samples``,
+``--paths``, ``--depth``, ``--out``, ``--format``, each of which overrides
+one config key (see :data:`EXPERIMENT_FLAG_KEYS`); a key or flag the
+chosen experiment never reads is an error.  The exit code is 0 iff every
+verdict passes, and 2 on an error.
 """
 
 from __future__ import annotations
@@ -23,15 +23,6 @@ import numpy as np
 from . import besov, harness, orlicz
 from .simulate import PathSample, RngSeed, sample_bm
 from .spaces import SpaceSpec, finite_lq, parse_exponent
-
-EXPERIMENT_COMMANDS = {
-    "bm-limit": "scaled dyadic increment norms against the moment of |W(1)|",
-    "divergence": "growth of partial q-sums of the smoothness seminorm",
-    "maximal": "expected-supremum sandwich for Gaussian ensembles",
-    "moments": "first moments of Besov and Orlicz-Besov path norms",
-    "tau": "empirical minimum of the Besov norm (small-ball probe)",
-    "increment-variance": "weak variance of lag-c increments in L^p",
-}
 
 # Experiment flag (argparse dest) -> the config key it overrides.
 EXPERIMENT_FLAG_KEYS = {
@@ -128,7 +119,7 @@ def _cmd_experiment(args) -> int:
         if getattr(args, flag) is not None:
             mapping[key] = str(getattr(args, flag))
     cfg = harness.config_from_mapping(args.experiment, mapping)
-    result = harness.run(cfg, harness.ensembles_from_mapping(mapping) or None)
+    result = harness.run(cfg)
     if cfg.out_path:
         harness.emit_report(result, cfg.out_path, cfg.formats)
     for row in result.rows:
@@ -168,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--dump-path", help="dump the sampled path as CSV")
     bn.set_defaults(func=_cmd_besov_norm)
 
-    for name, help_text in EXPERIMENT_COMMANDS.items():
-        exp = sub.add_parser(name, help=help_text)
+    for name, record in harness.EXPERIMENTS.items():
+        exp = sub.add_parser(name, help=record.help)
         exp.add_argument("--config", help="flat key = value config file")
         exp.add_argument("--seed", type=int, default=None)
         exp.add_argument("--samples", type=int, default=None)

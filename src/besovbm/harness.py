@@ -9,6 +9,9 @@ written as CSV (fixed header), a structured-text (JSON) mirror, and an
 optional SVG plot.  Full determinism: identical configs,
 including the seed, give byte-identical report files.
 
+Each experiment is one :class:`Experiment` record in :data:`EXPERIMENTS`;
+the defaults, the dispatch, the config-key check and the CLI all read it.
+
 The path experiments (bm-limit, divergence, moments, tau) sample their
 paths and take a per-path statistic through one driver, :func:`map_paths`.
 Every draw takes its seed from :func:`_draw_seed`, a child of the config's
@@ -29,6 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -80,6 +84,7 @@ __all__ = [
     "exact_test_functional_moment",
     "emit_report",
     "emit_maximal_csv",
+    "Experiment",
     "EXPERIMENTS",
 ]
 
@@ -99,16 +104,9 @@ BESOV_RATIO_BAND = (1.0, 6.0)
 BESOV_STABILITY_MAX = 4.0
 ORLICZ_RATIO_BAND = (1.0, 10.0)
 
-EXPERIMENTS = (
-    "bm-limit",
-    "divergence",
-    "moments",
-    "tau",
-    "maximal",
-    "increment-variance",
-)
-# What a draw is for.  A draw's key holds the positions of its experiment and
-# role in these tuples, so appending to either keeps every existing key.
+# What a draw is for.  A draw's key holds the positions of its experiment in
+# EXPERIMENTS and of its role here, so appending to either keeps every
+# existing key.
 DRAW_ROLES = ("path", "reference", "dual-net", "ensemble")
 
 
@@ -133,6 +131,7 @@ class ExperimentConfig:
     seed: RngSeed = field(default_factory=lambda: RngSeed(DEFAULT_SEED))
     out_path: str | None = None
     formats: tuple = ("csv",)
+    ensembles: tuple = ()  # maximal's EnsembleConfigs; empty means default_ensembles()
 
 
 @dataclass(frozen=True)
@@ -163,22 +162,75 @@ def _geometric_sigma(dim: int = 16, ratio: float = 0.7) -> tuple:
     return tuple(ratio ** np.arange(dim))
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment.
+
+    ``driver`` runs a config; ``defaults`` are the :class:`ExperimentConfig`
+    fields it sets over the dataclass defaults; ``keys`` are the config keys
+    it reads besides experiment.id, rng.* and out.*, where "space.*" and
+    "ensemble.*" stand for every key under the prefix.
+    """
+
+    help: str
+    driver: Callable[[ExperimentConfig], ExperimentResult]
+    defaults: dict
+    keys: frozenset
+
+
+# Append only: an experiment's position is part of every draw's key (see
+# _draw_seed).  Each driver is looked up when it runs, not when the record is
+# built, so a name patched on this module is the one that runs.
+EXPERIMENTS = {
+    "bm-limit": Experiment(
+        "scaled dyadic increment norms against the moment of |W(1)|",
+        lambda cfg: run_limit_experiment(cfg),
+        dict(scales=(8, 9, 10), p_list=(1.0, 2.0, 4.0)),
+        frozenset({"space.*", "sigma", "depth", "scales", "p.list", "mc.paths"}),
+    ),
+    "divergence": Experiment(
+        "growth of partial q-sums of the smoothness seminorm",
+        lambda cfg: run_divergence_experiment(cfg),
+        dict(depth=18, q=2.0, p_list=(2.0,)),
+        frozenset({"space.*", "sigma", "depth", "q", "p.list", "mc.paths"}),
+    ),
+    "moments": Experiment(
+        "first moments of Besov and Orlicz-Besov path norms",
+        lambda cfg: run_moment_experiment(cfg),
+        dict(sigma=_geometric_sigma(), p_list=(1.0, 2.0, 4.0, 8.0)),
+        frozenset({"sigma", "depth", "p.list", "beta", "p.max", "mc.paths"}),
+    ),
+    "tau": Experiment(
+        "empirical minimum of the Besov norm (small-ball probe)",
+        lambda cfg: run_tau_experiment(cfg),
+        dict(paths=500, p_list=(1.0, 2.0)),
+        frozenset({"space.*", "sigma", "depth", "p.list", "mc.paths"}),
+    ),
+    "maximal": Experiment(
+        "expected-supremum sandwich for Gaussian ensembles",
+        lambda cfg: run_maximal_experiment(cfg),
+        {},
+        frozenset({"mc.samples", "ensemble.*"}),
+    ),
+    "increment-variance": Experiment(
+        "weak variance of lag-c increments in L^p",
+        lambda cfg: run_increment_variance_experiment(cfg),
+        dict(scales=(2, 4, 6), p_list=(1.0, 2.0, 4.0)),
+        frozenset({"space.*", "sigma", "depth", "scales", "p.list"}),
+    ),
+}
+
+
+def _experiment(name: str) -> Experiment:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise ValueError(f"unknown experiment {name!r}") from None
+
+
 def default_config(experiment: str, seed: int = DEFAULT_SEED) -> ExperimentConfig:
     """Desk-scale defaults: depth 16, a few hundred paths, dimensions <= 16."""
-    base = ExperimentConfig(experiment=experiment, seed=RngSeed(seed))
-    if experiment == "bm-limit":
-        return replace(base, scales=(8, 9, 10), p_list=(1.0, 2.0, 4.0))
-    if experiment == "divergence":
-        return replace(base, depth=18, q=2.0, p_list=(2.0,))
-    if experiment == "moments":
-        return replace(base, sigma=_geometric_sigma(), p_list=(1.0, 2.0, 4.0, 8.0))
-    if experiment == "tau":
-        return replace(base, paths=500, p_list=(1.0, 2.0))
-    if experiment == "maximal":
-        return base
-    if experiment == "increment-variance":
-        return replace(base, scales=(2, 4, 6), p_list=(1.0, 2.0, 4.0))
-    raise ValueError(f"unknown experiment {experiment!r}")
+    return ExperimentConfig(experiment, seed=RngSeed(seed), **_experiment(experiment).defaults)
 
 
 def _parse_list(text: str, convert) -> tuple:
@@ -211,16 +263,6 @@ _CONFIG_SCALARS = {
     *_CONFIG_FIELDS,
 }
 _ENSEMBLE_SUBKEYS = {"space.kind", "space.p", "space.dim", "sigma", "count", "decay"}
-# The config keys each experiment reads besides experiment.id, rng.* and out.*;
-# "space.*" and "ensemble.*" stand for every key under the prefix.
-_EXPERIMENT_KEYS = {
-    "bm-limit": {"space.*", "sigma", "depth", "scales", "p.list", "mc.paths"},
-    "divergence": {"space.*", "sigma", "depth", "q", "p.list", "mc.paths"},
-    "moments": {"sigma", "depth", "p.list", "beta", "p.max", "mc.paths"},
-    "tau": {"space.*", "sigma", "depth", "p.list", "mc.paths"},
-    "maximal": {"mc.samples", "ensemble.*"},
-    "increment-variance": {"space.*", "sigma", "depth", "scales", "p.list"},
-}
 
 
 def parse_config_text(text: str) -> dict:
@@ -276,7 +318,7 @@ def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED
     if "experiment.id" in mapping:
         experiment = mapping["experiment.id"]
     cfg = default_config(experiment, seed)
-    reads = _EXPERIMENT_KEYS[experiment] | {"experiment.id", "rng.*", "out.*"}
+    reads = EXPERIMENTS[experiment].keys | {"experiment.id", "rng.*", "out.*"}
     unread = [key for key in sorted(mapping) if key not in reads and key.split(".")[0] + ".*" not in reads]
     if unread:
         raise ValueError(f"{experiment} does not read the config keys {', '.join(unread)}")
@@ -284,6 +326,7 @@ def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED
         cfg,
         space=_space_from_mapping(mapping, "space.", cfg.space),
         seed=RngSeed(int(mapping.get("rng.seed", cfg.seed.seed)), int(mapping.get("rng.stream", 0))),
+        ensembles=ensembles_from_mapping(mapping),
         **{name: parse(mapping[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in mapping},
     )
 
@@ -397,7 +440,7 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
 
 def _draw_seed(cfg: ExperimentConfig, model: int, role: str, index: int = 0) -> RngSeed:
     """The seed of one draw: ``cfg.seed`` extended by ``(experiment, model, role, index)``."""
-    return cfg.seed.child(EXPERIMENTS.index(cfg.experiment), model, DRAW_ROLES.index(role), index)
+    return cfg.seed.child(list(EXPERIMENTS).index(cfg.experiment), model, DRAW_ROLES.index(role), index)
 
 
 def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> list:
@@ -760,19 +803,18 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
     return ExperimentResult("increment-variance", tuple(rows))
 
 
-def run_maximal_experiment(cfg: ExperimentConfig, ensembles: tuple | None = None) -> ExperimentResult:
+def run_maximal_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo check of the expected-supremum sandwich per ensemble.
 
+    Runs ``cfg.ensembles``, or :func:`default_ensembles` where that is empty.
     Returns one row per ensemble, in order: the estimate of ``E sup_n |xi_n|``
     with its ci, the upper bound as the reference and the lower bound as
     ``lower``.  Ensemble ``k`` draws from ``_draw_seed(cfg, k, "ensemble")``:
     appending a configuration leaves the others unchanged, while removing or
     reordering one moves the keys of those after it.
     """
-    if ensembles is None:
-        ensembles = default_ensembles()
     rows = []
-    for k, econf in enumerate(ensembles):
+    for k, econf in enumerate(cfg.ensembles or default_ensembles()):
         report = empirical_sup_mean(econf.build(), cfg.mc_samples, _draw_seed(cfg, k, "ensemble"))
         rows.append(
             ResultRow(
@@ -787,21 +829,9 @@ def run_maximal_experiment(cfg: ExperimentConfig, ensembles: tuple | None = None
     return ExperimentResult("maximal", tuple(rows))
 
 
-def run(cfg: ExperimentConfig, ensembles: tuple | None = None) -> ExperimentResult:
-    """Dispatch on the experiment id; ``ensembles`` applies to maximal only."""
-    if cfg.experiment == "bm-limit":
-        return run_limit_experiment(cfg)
-    if cfg.experiment == "divergence":
-        return run_divergence_experiment(cfg)
-    if cfg.experiment == "moments":
-        return run_moment_experiment(cfg)
-    if cfg.experiment == "tau":
-        return run_tau_experiment(cfg)
-    if cfg.experiment == "maximal":
-        return run_maximal_experiment(cfg, ensembles)
-    if cfg.experiment == "increment-variance":
-        return run_increment_variance_experiment(cfg)
-    raise ValueError(f"unknown experiment {cfg.experiment!r}")
+def run(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run the registered driver of ``cfg.experiment``."""
+    return _experiment(cfg.experiment).driver(cfg)
 
 
 # ---------------------------------------------------------------------------

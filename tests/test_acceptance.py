@@ -177,14 +177,9 @@ def test_criterion_10_full_suite_determinism(tmp_path, default_moments):
         blobs = {}
         for experiment in harness.EXPERIMENTS:
             cfg = harness.default_config(experiment, SEED)
-            if experiment == "maximal":
-                result = harness.run_maximal_experiment(cfg)
-                out = harness.emit_maximal_csv(result, tmp_path / run_dir / "maximal.csv")
-                blobs["maximal"] = open(out, "rb").read()
-            else:
-                result = first_moments if (experiment, run_dir) == ("moments", "first") else harness.run(cfg)
-                (out,) = harness.emit_report(result, tmp_path / run_dir / experiment, ("csv",))
-                blobs[experiment] = open(out, "rb").read()
+            result = first_moments if (experiment, run_dir) == ("moments", "first") else harness.run(cfg)
+            (out,) = harness.emit_report(result, tmp_path / run_dir / experiment, ("csv",))
+            blobs[experiment] = open(out, "rb").read()
         digests.append(blobs)
     elapsed = time.perf_counter() - start + moments_s
     identical = all(digests[0][k] == digests[1][k] for k in digests[0])

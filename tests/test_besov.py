@@ -416,6 +416,23 @@ def test_early_exit_falls_back_to_the_full_sweep(monkeypatch):
         _assert_early_exit_matches(path, (3.0,), p_max)
 
 
+@pytest.mark.parametrize("space", [SCALAR, truncated_lp(2.0, 4)], ids=["scalar", "l2"])
+def test_early_exit_settles_a_zero_path_at_the_cap(space, monkeypatch):
+    path = PathSample(space, 10, np.zeros(((1 << 10) + 1, space.dim)))
+    counts = _recorded_power_counts(monkeypatch)
+    got = (besov.besov_orlicz_norm(path, 0.5, 2.0, 64), besov.exp_orlicz_lp_norm(path, 2.0, 64))
+    # a zero sup equals its zero bound, so no vector is swept past the cap
+    assert counts == [besov.POWER_CAP] * (besov.default_n_max(path.depth) + 2)
+    monkeypatch.undo()
+    n_max = besov.default_n_max(path.depth)
+    lp = besov.integer_p_lp_norms(besov._row_norms(space, path.values[: path.grid_size]), 2.0**-path.depth, 64)
+    full = (
+        besov.p_weighted_sup(besov.integer_p_besov_totals(path, 0.5, 64, n_max), 2.0),
+        besov.p_weighted_sup(lp, 2.0),
+    )
+    assert got == full == (0.0, 0.0)
+
+
 def test_early_exit_propagates_nan():
     path = bm_path(5, depth=10)
     values = path.values.copy()

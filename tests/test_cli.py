@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -79,6 +80,20 @@ def test_path_csv_matches_library_sampler(tmp_path, capsys):
     assert path.depth == 6
 
 
+def test_experiment_commands_are_the_registry():
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    experiments = [name for name in sub.choices if name not in ("rho", "besov-norm")]
+    assert experiments == list(harness.EXPERIMENTS)
+    assert {name: helps[name] for name in experiments} == {
+        name: record.help for name, record in harness.EXPERIMENTS.items()
+    }
+    for name in experiments:
+        args = parser.parse_args([name])
+        assert args.experiment == name and args.func is cli._cmd_experiment
+
+
 def test_experiment_exit_zero_on_pass(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "bm-limit", "--paths", "40", "--seed", "11",
@@ -131,7 +146,7 @@ def test_flags_override_config_file_keys(tmp_path, capsys, monkeypatch):
     cfg_file.write_text("depth = 14\nrng.seed = 9\nrng.stream = 7\n", encoding="utf-8")
     seen = []
 
-    def run(cfg, ensembles=None):
+    def run(cfg):
         seen.append(cfg)
         return harness.ExperimentResult(cfg.experiment, ())
 

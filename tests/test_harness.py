@@ -20,7 +20,7 @@ def small(experiment, **overrides):
 
 
 # positions in the spawn key (experiment, model, role, index) of a draw
-LIMIT = harness.EXPERIMENTS.index("bm-limit")
+LIMIT = list(harness.EXPERIMENTS).index("bm-limit")
 PATH = harness.DRAW_ROLES.index("path")
 
 
@@ -132,8 +132,10 @@ def test_parse_ensemble_groups():
     ensemble.b.sigma = 1.0
     ensemble.b.count = 3
     """
-    configs = harness.ensembles_from_mapping(harness.parse_config_text(text))
+    mapping = harness.parse_config_text(text)
+    configs = harness.ensembles_from_mapping(mapping)
     assert [c.config_id for c in configs] == ["a", "b"]
+    assert harness.config_from_mapping("maximal", mapping).ensembles == configs
     spec = configs[0].build()
     assert len(spec.variables) == 7
     assert spec.variables[1].sigma == pytest.approx((0.45, 0.225, 0.09))
@@ -400,8 +402,8 @@ def test_emit_report_unknown_format(tmp_path):
 
 
 def test_emit_maximal_csv(tmp_path):
-    cfg = small("maximal", mc_samples=500)
-    result = harness.run_maximal_experiment(cfg, harness.default_ensembles()[:2])
+    cfg = small("maximal", mc_samples=500, ensembles=harness.default_ensembles()[:2])
+    result = harness.run_maximal_experiment(cfg)
     out = harness.emit_maximal_csv(result, tmp_path / "maximal.csv")
     lines = open(out, "r", encoding="utf-8").read().splitlines()
     assert lines[0] == harness.MAXIMAL_CSV_HEADER
@@ -488,11 +490,11 @@ SMALL_ENSEMBLES = tuple(harness.default_ensembles()[k] for k in (3, 5, 7, 8))
 
 
 def test_maximal_report_independent_of_worker_count(tmp_path, monkeypatch):
-    cfg = small("maximal", mc_samples=2_000)
+    cfg = small("maximal", mc_samples=2_000, ensembles=SMALL_ENSEMBLES)
     reports = []
     for workers in (1, 3):  # serial, and more threads than a two-core machine has
         monkeypatch.setattr(maxima, "worker_count", lambda: workers)
-        result = _bounded(lambda: harness.run(cfg, SMALL_ENSEMBLES))
+        result = _bounded(lambda: harness.run(cfg))
         (path,) = harness.emit_report(result, tmp_path / f"maximal-{workers}")
         with open(path, "rb") as handle:
             reports.append(handle.read())
@@ -516,13 +518,13 @@ def test_maximal_keys_never_repeat(monkeypatch):
     space = truncated_lp(2.0, 2)
     ensembles = (harness.EnsembleConfig("many", space, (1.0, 0.5), 1000),
                  harness.EnsembleConfig("next", space, (1.0, 0.5), 3))
-    harness.run_maximal_experiment(small("maximal", mc_samples=100), ensembles)
+    harness.run_maximal_experiment(small("maximal", mc_samples=100, ensembles=ensembles))
     assert len(keys) == 2 * 1003
     assert len(set(keys)) == len(keys)
 
 
 def test_maximal_json_recomputes_verdicts(tmp_path):
-    result = harness.run_maximal_experiment(small("maximal", mc_samples=500), SMALL_ENSEMBLES)
+    result = harness.run_maximal_experiment(small("maximal", mc_samples=500, ensembles=SMALL_ENSEMBLES))
     below = harness.ResultRow(("below",), 0.5, 0.01, 2.0, False, lower=1.0)  # under its lower bound
     result = replace(result, rows=result.rows + (below,))
     (path,) = harness.emit_report(result, tmp_path / "maximal", ("json-text",))
@@ -546,7 +548,7 @@ def test_maximal_mean_pass_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(maxima, "mean_norm_mc", failing)
     monkeypatch.setattr(maxima, "worker_count", lambda: 3)
     with pytest.raises(RuntimeError, match="injected mean pass failure"):
-        _bounded(lambda: harness.run(small("maximal", mc_samples=2_000), SMALL_ENSEMBLES))
+        _bounded(lambda: harness.run(small("maximal", mc_samples=2_000, ensembles=SMALL_ENSEMBLES)))
 
 
 # --- the per-path driver ----------------------------------------------------------

@@ -32,23 +32,32 @@ def test_tracer_installs_and_uninstalls():
     assert harness.sample_bm is original
 
 
-# Tiny runs that call every hook the two experiments reach, so a hook whose
-# signature no longer matches its target fails here.
+# Tiny runs that call every hook the experiments reach, so a hook whose
+# signature no longer matches its target fails here, and so does a registry
+# record that binds its driver before the tracer patches it.
 TRACED_RUNS = {
-    "maximal": (dict(mc_samples=200), harness.default_ensembles()[8:9], "maxima.variable_mean"),
-    "moments": (dict(paths=2, depth=10, p_max=8), None, "besov.integer_p_besov_totals"),
+    "bm-limit": (dict(paths=2, depth=10, scales=(4,)), "besov.increment_norms"),
+    "divergence": (dict(paths=2, depth=14), "besov.increment_norms"),
+    "moments": (dict(paths=2, depth=10, p_max=8), "besov.integer_p_besov_totals"),
+    "tau": (dict(depth=8), "besov.integer_p_besov_totals"),
+    "maximal": (dict(mc_samples=200, ensembles=harness.default_ensembles()[8:9]), "maxima.variable_mean"),
+    "increment-variance": ({}, "spaces.space_norm"),
 }
+
+
+def test_traced_runs_cover_every_experiment():
+    assert set(TRACED_RUNS) == set(harness.EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", sorted(TRACED_RUNS))
 def test_traced_run_completes(experiment):
-    overrides, ensembles, layer = TRACED_RUNS[experiment]
+    overrides, layer = TRACED_RUNS[experiment]
     cfg = replace(harness.default_config(experiment), **overrides)
     spans = _load_spans()
     tracer = spans.Tracer()
     try:
         spans.install(tracer)
-        result = harness.run(cfg, ensembles)
+        result = harness.run(cfg)
     finally:
         tracer.uninstall()
     assert result.rows
