@@ -15,13 +15,14 @@ vector, so no path-sized temporary (differences, absolute values, squares)
 is ever allocated.  Each row's norm is computed exactly as in a single
 whole-array call, so the blocking never changes a result.
 
-The exponential Orlicz sups stop their integer-p sweep early.  The grid
-weight times the number of grid points is at most 1, so each L^p term is at
-most its norm vector's peak: ``||f||_{L^p(w)} <= max|f|``.  Every total is
-then at most ``B``, the same sum of peaks (``max|W|`` for the L^p norm,
-``max|W| + max_n 2^(n alpha) max|Delta_n|`` for the Besov norm), and every
-weighted term past p is at most ``(p+1)^(-1/beta) B``.  Each vector's running
-powers stop at ``POWER_CAP`` (or the largest reported p, if larger); where
+Both exponential Orlicz sups run through :func:`integer_p_besov_totals` (the
+L^p one as its case with no smoothness scales), which stops the integer-p
+sweep early.  The grid weight times the number of grid points is at most 1,
+so each L^p term is at most its norm vector's peak: ``||f||_{L^p(w)} <=
+max|f|``.  Every total is then at most ``B = max|W| + max_n 2^(n alpha)
+max|Delta_n|`` (just ``max|W|`` with no scales), and every weighted term
+past p is at most ``(p+1)^(-1/beta) B``.  Each vector's running powers stop
+at ``POWER_CAP`` (or the largest reported p, if larger); where
 ``(POWER_CAP+1)^(-1/beta) B (1 + BOUND_SLACK)`` is at most the sup so far,
 that sup is the answer, and otherwise the full sweep is redone.  The result
 is bit-identical to the full sweep followed by :func:`p_weighted_sup`.
@@ -251,28 +252,16 @@ def _capped_sup(weights: np.ndarray, values: np.ndarray, bound) -> float | None:
     return None
 
 
-def exp_orlicz_lp_norm(
-    path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX, sub_interval=(0.0, 1.0)
-) -> float:
+def exp_orlicz_lp_norm(path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX) -> float:
     """sup over integer p in [1, p_max] of p^(-1/beta) L^p norm of the path.
 
-    Each L^p norm is at most the peak value norm, since the grid weight times
-    the number of grid points is at most 1.  So the running powers stop at
-    ``POWER_CAP`` once ``(POWER_CAP + 1)^(-1/beta)`` times the peak lies below
-    the sup so far; otherwise the full sweep runs.  The result is the same
-    float as ``p_weighted_sup(integer_p_lp_norms(...), beta)``.
+    The zero-scale case of :func:`integer_p_besov_totals` (no smoothness
+    terms), so it takes the early exit stated in the module docstring; the
+    same float as ``p_weighted_sup(integer_p_lp_norms(...), beta)``.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
-    ka, kb = _interval_indices(path, sub_interval)
-    norms = _row_norms(path.space, path.values[ka:kb])
-    weight = 2.0**-path.depth
-    weights = _p_weights(p_max, beta)
-    lp, peak = _lp_prefix(norms, weight, p_max, min(p_max, POWER_CAP))
-    sup = _capped_sup(weights, lp, peak)
-    if sup is None:
-        sup = np.max(weights * integer_p_lp_norms(norms, weight, p_max))
-    return float(sup)
+    return float(integer_p_besov_totals(path, 0.5, p_max, 0, beta)[-1])
 
 
 def integer_p_besov_totals(
@@ -291,15 +280,10 @@ def integer_p_besov_totals(
     reference.
 
     With ``beta``, returns ``p_head + 1`` numbers instead: the totals for
-    p = 1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max.  These
-    are the same floats as the full sweep and ``p_weighted_sup`` give, but
-    each norm vector's running powers stop at ``max(POWER_CAP, p_head)``.
-    The grid weight times the number of terms is at most 1, so every L^p
-    term is at most its vector's peak and every total is at most
-    ``B = max|W| + max_n 2^(n alpha) max|Delta_n|``; where the next weight
-    times ``B`` stays below the sup so far, no later p can raise it.  Where
-    the bound does not settle the sup, the path is redone with the full
-    sweep, so the result is bit-identical to it either way.
+    p = 1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max, by
+    the early exit stated in the module docstring.  These are the same
+    floats as the full sweep and ``p_weighted_sup`` give.  With ``n_max = 0``
+    there are no smoothness terms and the totals are the L^p norms.
     """
     if n_max is None:
         n_max = default_n_max(path.depth)
@@ -336,8 +320,9 @@ def besov_orlicz_norm(
 ) -> float:
     """sup over integer p <= p_max of p^(-1/beta) times the B^alpha_{p,inf} norm.
 
-    Served by the early-exit sweep of :func:`integer_p_besov_totals`; the
-    same float as ``p_weighted_sup`` of the full profile.
+    Served by :func:`integer_p_besov_totals` with the early exit stated in
+    the module docstring; the same float as ``p_weighted_sup`` of the full
+    profile.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")

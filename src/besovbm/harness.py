@@ -37,11 +37,12 @@ from typing import Callable
 import numpy as np
 
 from . import besov
-from .besov import SCALE_MARGIN, BesovParams, integer_p_besov_totals
+from .besov import SCALE_MARGIN, integer_p_besov_totals
 from .maxima import empirical_sup_mean
 from .simulate import (
     GaussianVarSpec,
     EnsembleSpec,
+    NORM_MC_SAMPLES,
     PathSample,
     RngSeed,
     gaussian_abs_moment,
@@ -89,7 +90,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260808
-REFERENCE_MC_SAMPLES = 100_000
 
 # Verdict tolerances, frozen with the acceptance bands.
 LIMIT_RTOL = 0.02
@@ -313,10 +313,11 @@ def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> Spac
 def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed config keys.
 
-    A key the chosen experiment never reads is an error.
+    A key the chosen experiment never reads is an error, and so is an
+    ``experiment.id`` that names another experiment.
     """
-    if "experiment.id" in mapping:
-        experiment = mapping["experiment.id"]
+    if mapping.get("experiment.id", experiment) != experiment:
+        raise ValueError(f"the config sets experiment.id = {mapping['experiment.id']}, not {experiment}")
     cfg = default_config(experiment, seed)
     reads = EXPERIMENTS[experiment].keys | {"experiment.id", "rng.*", "out.*"}
     unread = [key for key in sorted(mapping) if key not in reads and key.split(".")[0] + ".*" not in reads]
@@ -423,13 +424,13 @@ def _reference_moments(space, sigma, p_values, seed) -> dict:
     """c_p = (E|W(1)|^p)^(1/p) for each requested p, plus p = 1.
 
     Analytic for an effectively scalar weight sequence; a single Monte Carlo
-    batch of 1e5 draws of W(1) otherwise.
+    batch of ``NORM_MC_SAMPLES`` draws of W(1) otherwise.
     """
     wanted = sorted(set(float(p) for p in p_values) | {1.0})
     scale = scalar_weight(sigma)
     if scale is not None:
         return {p: scale * gaussian_abs_moment(p) for p in wanted}
-    norms = sampled_norms(space, sigma, REFERENCE_MC_SAMPLES, seed)
+    norms = sampled_norms(space, sigma, NORM_MC_SAMPLES, seed)
     return {p: float(np.mean(norms**p) ** (1.0 / p)) for p in wanted}
 
 
@@ -703,8 +704,7 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             ResultRow((f"p={p}", f"paths={cfg.paths}", "kind=min"), minimum, 0.0, ref, ratio >= TAU_SLACK)
         )
     zero = PathSample(cfg.space, cfg.depth, np.zeros(((1 << cfg.depth) + 1, cfg.space.dim)))
-    for j, p in enumerate(p_ints):
-        norm = besov.besov_norm(zero, BesovParams(0.5, float(p), math.inf, n_max)).total
+    for p, norm in zip(p_ints, map(float, statistic(zero))):
         ref = refs[float(p)]
         ratio = _ratio(norm, ref)
         rows.append(
@@ -732,20 +732,18 @@ def discrete_increment_integral_variance(depth: int, j: int) -> float:
     return float(h * h * np.sum(counts * (c - d * h)))
 
 
-def exact_test_functional_moment(space, sigma, depth, j, xstar=None) -> tuple[float, float]:
+def exact_test_functional_moment(space, sigma, depth, j) -> tuple[float, float]:
     """Exact discrete and limiting second moments of the window functional.
 
     The functional pairs the lag-c increment of the diagonal Brownian motion
-    with ``1_I (x) x*`` for an interval of length ``c = 2^-j``.  Returns
+    with ``1_I (x) x*`` for an interval of length ``c = 2^-j``, where ``x*``
+    is the unit coordinate vector at the largest weight.  Returns
     ``(discrete, closed)`` where ``closed = (2/3) c^3 |i_W^* x*|^2`` and
     ``|i_W^* x*|^2 = sum_n sigma_n^2 (x*_n)^2``.
     """
     sig = padded_weights(space, sigma)
-    if xstar is None:
-        xs = np.zeros(space.dim)
-        xs[int(np.argmax(sig))] = 1.0
-    else:
-        xs = np.asarray(xstar, dtype=float)
+    xs = np.zeros(space.dim)
+    xs[int(np.argmax(sig))] = 1.0
     coupling = float(np.sum(sig**2 * xs**2))
     var_a = discrete_increment_integral_variance(depth, j)
     c = 2.0**-j
@@ -775,7 +773,7 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
         c = 2.0**-j
         var_a = discrete_increment_integral_variance(cfg.depth, j)
         discrete_raw, closed_raw = exact_test_functional_moment(cfg.space, cfg.sigma, cfg.depth, j)
-        net_coupling = float(np.max(np.sqrt((net.functionals**2) @ (sig**2))))
+        net_coupling = float(np.max(np.sqrt((net**2) @ (sig**2))))
         for p in cfg.p_list:
             pprime = dual_exponent(p)
             window = c ** (1.0 / pprime) if not math.isinf(pprime) else 1.0

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orlicz import as_weights, luxemburg_norm, theta
-from .simulate import EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, sampled_norms, worker_count
+from .simulate import (
+    NORM_MC_SAMPLES, EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, sampled_norms, worker_count,
+)
 # ``space_norm`` is not called here; it stays because the benchmark tracer
 # (perfbench/spans.py) patches ``maxima.space_norm``.
 from .spaces import diag_weak_variance, scalar_weight, space_norm  # noqa: F401
@@ -42,7 +44,6 @@ __all__ = [
 ]
 
 VERDICT_TOL = 1e-6
-MEAN_MC_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def remark_bound(sigma, p: float) -> float:
 
 
 def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
-                  samples: int = MEAN_MC_SAMPLES) -> float:
+                  samples: int = NORM_MC_SAMPLES) -> float:
     """E|xi| for one diagonal Gaussian vector.
 
     Analytic ``sigma sqrt(2/pi)`` when at most one weight is nonzero (the

@@ -31,9 +31,12 @@ __all__ = [
     "gaussian_abs_moment",
     "worker_count",
     "MAX_DEPTH",
+    "NORM_MC_SAMPLES",
 ]
 
 MAX_DEPTH = 24  # 2^24 grid points caps memory per path
+# Draws of one Monte Carlo norm mean or reference moment.
+NORM_MC_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def sampled_norms(space: SpaceSpec, sigma, samples: int, seed: RngSeed) -> np.nd
     return norms
 
 
-def mean_norm_mc(spec: GaussianVarSpec, seed: RngSeed, samples: int = 100_000) -> float:
+def mean_norm_mc(spec: GaussianVarSpec, seed: RngSeed, samples: int = NORM_MC_SAMPLES) -> float:
     """Monte Carlo estimate of E|xi| for a diagonal Gaussian vector."""
     return float(np.mean(sampled_norms(spec.space, spec.sigma, samples, seed)))
 

@@ -34,7 +34,6 @@ __all__ = [
     "row_blocks",
     "space_norm",
     "dual_exponent",
-    "DualNet",
     "dual_net",
     "diag_weak_variance",
     "iw_norm",
@@ -152,25 +151,10 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class DualNet:
-    """A finite family of functionals of unit dual norm, one per row."""
+def dual_net(space: SpaceSpec, size: int, seed) -> np.ndarray:
+    """A ``(size, dim)`` array of functionals of unit dual norm, one per row.
 
-    space: SpaceSpec
-    functionals: np.ndarray  # shape (size, dim)
-
-    @property
-    def size(self) -> int:
-        return self.functionals.shape[0]
-
-    def pairings(self, v) -> np.ndarray:
-        """Values <v, x*> over all functionals in the net."""
-        return np.asarray(self.functionals) @ np.asarray(v, dtype=float)
-
-
-def dual_net(space: SpaceSpec, size: int, seed) -> DualNet:
-    """Signed canonical dual unit vectors plus random unit-dual-norm rows.
-
+    Signed canonical dual unit vectors plus random unit-dual-norm rows.
     Requires ``size >= 2 * dim``; the first ``2 dim`` rows are ``+e_i`` and
     ``-e_i`` (canonical functionals, dual norm 1 for every exponent), the
     rest are standard-normal directions normalised in the dual norm.
@@ -186,7 +170,7 @@ def dual_net(space: SpaceSpec, size: int, seed) -> DualNet:
         dual = replace(space, exponent=dual_exponent(space.exponent))
         norms = np.atleast_1d(space_norm(dual, g))
         rows.append(g / norms[:, None])
-    return DualNet(space, np.vstack(rows))
+    return np.vstack(rows)
 
 
 def diag_weak_variance(p: float, sigma) -> float:

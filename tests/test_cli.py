@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,15 @@ def test_experiment_with_config_file(tmp_path, capsys):
     assert "n=8" in out
 
 
+def test_experiment_id_must_match_the_subcommand(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment.id = tau\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "run", lambda cfg: pytest.fail(f"ran {cfg.experiment}"))
+    code, _, err = run_cli(capsys, "bm-limit", "--config", str(cfg))
+    assert code == 2
+    assert "experiment.id = tau, not bm-limit" in err
+
+
 def test_flags_override_config_file_keys(tmp_path, capsys, monkeypatch):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("depth = 14\nrng.seed = 9\nrng.stream = 7\n", encoding="utf-8")
@@ -215,3 +228,20 @@ def test_experiment_rejects_zero_paths(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--paths", "0")
     assert code == 2
     assert "error: at least one path is required" in err
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # scipy.optimize, .stats and .integrate each add start-up time and
+    # resident memory; the library uses only scipy.special.  A subprocess,
+    # because tests/oracles.py imports scipy.stats and scipy.integrate.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, besovbm.cli\n"
+        "heavy = ('scipy.optimize', 'scipy.stats', 'scipy.integrate')\n"
+        "print(' '.join(m for m in sorted(sys.modules) if m.startswith(heavy)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

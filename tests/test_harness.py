@@ -10,7 +10,7 @@ import pytest
 
 from besovbm import besov, harness, maxima
 from besovbm.besov import BesovParams
-from besovbm.simulate import PathSample, RngSeed, sample_bm
+from besovbm.simulate import NORM_MC_SAMPLES, PathSample, RngSeed, sample_bm
 from besovbm.spaces import finite_lq, space_norm, truncated_lp
 
 
@@ -56,7 +56,7 @@ def test_parse_config_text_roundtrip():
 def test_readme_config_block_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (block,) = [part.split("```", 1)[0] for part in readme.split("```ini\n")[1:]]
-    cfg = harness.config_from_mapping("maximal", harness.parse_config_text(block))
+    cfg = harness.config_from_mapping("bm-limit", harness.parse_config_text(block))
     assert cfg.experiment == "bm-limit"
     assert cfg.space == truncated_lp(math.inf, 4)
     assert cfg.sigma == (1.0, 0.5, 0.25)
@@ -65,6 +65,11 @@ def test_readme_config_block_parses():
     assert cfg.paths == 200 and cfg.mc_samples == 10_000
     assert cfg.seed == RngSeed(20260808)
     assert cfg.out_path == "reports/limit" and cfg.formats == ("csv", "json-text")
+
+
+def test_config_rejects_another_experiment_id():
+    with pytest.raises(ValueError, match="experiment.id = tau, not bm-limit"):
+        harness.config_from_mapping("bm-limit", {"experiment.id": "tau"})
 
 
 def test_rng_stream_changes_the_draws():
@@ -429,7 +434,7 @@ def test_reference_moments_match_one_shot_draw(space):
     sigma = tuple(0.7 ** np.arange(space.dim))
     seed = RngSeed(3, 500_001)
     # reference: the whole 1e5 x dim batch in one draw
-    g = seed.generator().standard_normal((harness.REFERENCE_MC_SAMPLES, space.dim))
+    g = seed.generator().standard_normal((NORM_MC_SAMPLES, space.dim))
     norms = space_norm(space, g * np.asarray(sigma))
     want = {p: float(np.mean(norms**p) ** (1.0 / p)) for p in (1.0, 2.0, 4.0, 8.0)}
     assert harness._reference_moments(space, sigma, (1, 2, 4, 8), seed) == want

@@ -68,8 +68,8 @@ def test_dual_exponent_pairs():
 def test_dual_net_canonical_rows():
     net = dual_net(finite_lq(2, 2.0), 4, RngSeed(0))
     expected = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert net.size == 4
-    assert np.allclose(net.functionals, expected)
+    assert net.shape[0] == 4
+    assert np.allclose(net, expected)
 
 
 def test_dual_net_requires_minimum_size():
@@ -82,7 +82,7 @@ def test_dual_net_rows_have_unit_dual_norm(p):
     space = truncated_lp(p, 4)
     net = dual_net(space, 64, RngSeed(9))
     dual = truncated_lp(dual_exponent(p), 4)
-    norms = space_norm(dual, net.functionals)
+    norms = space_norm(dual, net)
     assert np.all(np.abs(norms - 1.0) <= 1e-9)
 
 
@@ -93,7 +93,7 @@ def test_dual_net_pairings_bounded_by_norm(p):
     rng = np.random.default_rng(4)
     for _ in range(100):
         v = rng.standard_normal(4)
-        assert np.max(np.abs(net.pairings(v))) <= space_norm(space, v) * (1 + 1e-12) + 1e-12
+        assert np.max(np.abs(net @ v)) <= space_norm(space, v) * (1 + 1e-12) + 1e-12
 
 
 def test_dual_net_density_recovers_euclidean_norm():
@@ -102,13 +102,13 @@ def test_dual_net_density_recovers_euclidean_norm():
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = rng.standard_normal(2)
-        assert np.max(np.abs(net.pairings(v))) >= 0.99 * space_norm(space, v)
+        assert np.max(np.abs(net @ v)) >= 0.99 * space_norm(space, v)
 
 
 def test_dual_net_deterministic():
     a = dual_net(truncated_lp(3.0, 3), 32, RngSeed(21, 4))
     b = dual_net(truncated_lp(3.0, 3), 32, RngSeed(21, 4))
-    assert np.array_equal(a.functionals, b.functionals)
+    assert np.array_equal(a, b)
 
 
 def test_diag_weak_variance_values():
@@ -132,7 +132,7 @@ def test_diag_weak_variance_matches_net_maximisation(p):
         sigma = rng.uniform(0.2, 1.5, size=k)
         space = truncated_lp(p, k)
         net = dual_net(space, 1 << 16, RngSeed(500 + trial))
-        second = np.sqrt((net.functionals**2) @ (sigma**2))
+        second = np.sqrt((net**2) @ (sigma**2))
         closed = diag_weak_variance(p, sigma)
         assert abs(float(second.max()) - closed) / closed <= 0.02
 
