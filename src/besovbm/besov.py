@@ -47,6 +47,7 @@ __all__ = [
     "NormReport",
     "lp_norm_path",
     "dyadic_increment_lp",
+    "scale_terms",
     "besov_seminorm",
     "besov_norm",
     "exp_orlicz_lp_norm",
@@ -160,10 +161,21 @@ def dyadic_increment_lp(path: PathSample, n: int, p: float) -> float:
     return _reduce_lp(_increment_norms(path, n), 2.0**-path.depth, p)
 
 
-def _weighted_scale_terms(path: PathSample, alpha: float, p: float, n_max: int) -> np.ndarray:
-    return np.array(
-        [2.0 ** (n * alpha) * dyadic_increment_lp(path, n, p) for n in range(1, n_max + 1)]
-    )
+def scale_terms(path: PathSample, alpha: float, scales, p_list) -> np.ndarray:
+    """``2^(n alpha) ||Delta_n||_{L^p}``: one row per scale n, one column per p.
+
+    Each scale's increment-norm vector is computed once and serves every p;
+    entry ``(i, j)`` is the same float as
+    ``2^(scales[i] alpha) * dyadic_increment_lp(path, scales[i], p_list[j])``.
+    """
+    if not all(p >= 1.0 for p in p_list):
+        raise ValueError("p must lie in [1, inf]")
+    weight = 2.0**-path.depth
+    terms = np.empty((len(scales), len(p_list)))
+    for i, n in enumerate(scales):
+        norms = _increment_norms(path, n)
+        terms[i] = [2.0 ** (n * alpha) * _reduce_lp(norms, weight, p) for p in p_list]
+    return terms
 
 
 def besov_seminorm(path: PathSample, params: BesovParams) -> float:
@@ -172,13 +184,14 @@ def besov_seminorm(path: PathSample, params: BesovParams) -> float:
     The n = 0 term vanishes (a unit lag leaves no room inside (0, 1)), so the
     sum runs over n = 1..n_max; q = inf takes the maximum instead.
     """
-    return _reduce_lp(_weighted_scale_terms(path, params.alpha, params.p, params.n_max), 1.0, params.q)
+    terms = scale_terms(path, params.alpha, range(1, params.n_max + 1), [params.p])[:, 0]
+    return _reduce_lp(terms, 1.0, params.q)
 
 
 def besov_norm(path: PathSample, params: BesovParams) -> NormReport:
     """Full Besov norm: L^p part over (0, 1) plus the smoothness seminorm."""
     lp_part = lp_norm_path(path, params.p)
-    terms = _weighted_scale_terms(path, params.alpha, params.p, params.n_max)
+    terms = scale_terms(path, params.alpha, range(1, params.n_max + 1), [params.p])[:, 0]
     semi = _reduce_lp(terms, 1.0, params.q)
     per_scale = tuple((n, float(t)) for n, t in zip(range(1, params.n_max + 1), terms))
     return NormReport(lp_part, semi, lp_part + semi, per_scale)
@@ -259,8 +272,6 @@ def exp_orlicz_lp_norm(path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX
     terms), so it takes the early exit stated in the module docstring; the
     same float as ``p_weighted_sup(integer_p_lp_norms(...), beta)``.
     """
-    if p_max < 8:
-        raise ValueError("p_max must be at least 8")
     return float(integer_p_besov_totals(path, 0.5, p_max, 0, beta)[-1])
 
 
@@ -279,17 +290,20 @@ def integer_p_besov_totals(
     exponential Orlicz--Besov supremum affordable.  This full sweep is the
     reference.
 
-    With ``beta``, returns ``p_head + 1`` numbers instead: the totals for
-    p = 1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max, by
-    the early exit stated in the module docstring.  These are the same
-    floats as the full sweep and ``p_weighted_sup`` give.  With ``n_max = 0``
-    there are no smoothness terms and the totals are the L^p norms.
+    With ``beta``, which needs ``p_max`` at least 8, returns ``p_head + 1``
+    numbers instead: the totals for p = 1..p_head, then ``sup_p p^(-1/beta)
+    total_p`` over p <= p_max, by the early exit stated in the module
+    docstring.  These are the same floats as the full sweep and
+    ``p_weighted_sup`` give.  With ``n_max = 0`` there are no smoothness
+    terms and the totals are the L^p norms.
     """
     if n_max is None:
         n_max = default_n_max(path.depth)
     if beta is None:
         count = p_max
     else:
+        if p_max < 8:
+            raise ValueError("p_max must be at least 8")
         weights = _p_weights(p_max, beta)
         count = min(p_max, max(POWER_CAP, p_head))
     weight = 2.0**-path.depth
@@ -324,8 +338,6 @@ def besov_orlicz_norm(
     the module docstring; the same float as ``p_weighted_sup`` of the full
     profile.
     """
-    if p_max < 8:
-        raise ValueError("p_max must be at least 8")
     return float(integer_p_besov_totals(path, alpha, p_max, n_max, beta)[-1])
 
 

@@ -503,15 +503,10 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     _check_scales(cfg, scales)
     refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, _draw_seed(cfg, 0, "reference"))
 
-    def statistic(path):
-        ys = []
-        for n in scales:
-            norms = besov._increment_norms(path, n)
-            ys.extend(2.0 ** (n / 2.0) * besov._reduce_lp(norms, 2.0**-cfg.depth, p) for p in cfg.p_list)
-        return ys
-
-    (samples,) = map_paths(cfg, [(cfg.space, cfg.sigma)], statistic)
-    samples = np.array(samples).reshape(cfg.paths, len(scales), len(cfg.p_list))
+    (samples,) = map_paths(
+        cfg, [(cfg.space, cfg.sigma)], lambda path: besov.scale_terms(path, 0.5, scales, cfg.p_list)
+    )
+    samples = np.array(samples)
     rows = []
     for a, n in enumerate(scales):
         for b, p in enumerate(cfg.p_list):
@@ -550,6 +545,8 @@ def divergence_growth(n_lo: int, n_hi: int, p: float, q: float) -> tuple:
 def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Partial l^q sums of the weighted scale terms as the cap grows.
 
+    The terms are taken at the one exponent of ``p.list`` (2 if it is empty).
+
     Emits the mean partial q-sum seminorm for every cap n, then the fraction
     of paths whose partial q-sum grows by at least the factor of
     :func:`divergence_growth` between the caps ``depth/2`` and ``depth - 6``;
@@ -565,11 +562,12 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     n_hi = cfg.depth - SCALE_MARGIN
     if n_lo < 1 or n_lo >= n_hi:
         raise ValueError("depth too small for the divergence probe")
+    if len(cfg.p_list) > 1:
+        raise ValueError("the divergence probe takes one exponent in p.list")
     p = cfg.p_list[0] if cfg.p_list else 2.0
-    alpha = 0.5
 
     def statistic(path):
-        sums = np.cumsum(besov._weighted_scale_terms(path, alpha, p, n_hi) ** cfg.q)
+        sums = np.cumsum(besov.scale_terms(path, 0.5, range(1, n_hi + 1), [p])[:, 0] ** cfg.q)
         partial = [sums[n - 1] ** (1.0 / cfg.q) for n in range(1, n_hi + 1)]
         return partial + [_ratio(float(sums[n_hi - 1]), float(sums[n_lo - 1]))]
 

@@ -19,6 +19,7 @@ variable order, so the report does not depend on the number of threads.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -123,10 +124,11 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
 
     One pool task per variable returns its ``samples`` sampled norms and its
     mean; the norms are folded into the running supremum in variable order
-    as the results arrive.  Variable ``i`` draws its norms from
-    ``seed.child(i, 0)`` and its mean pass from ``seed.child(i, 1)``, so no
-    two draws share randomness.  Weak variances come from the diagonal
-    closed form.
+    as the results arrive.  At most ``2 * worker_count()`` tasks are in
+    flight, so no more norm vectors than that wait behind a slow task.
+    Variable ``i`` draws its norms from ``seed.child(i, 0)`` and its mean
+    pass from ``seed.child(i, 1)``, so no two draws share randomness.  Weak
+    variances come from the diagonal closed form.
     """
     if samples < 100:
         raise ValueError("at least 100 samples are required")
@@ -138,10 +140,21 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
 
     sup = np.zeros(samples)
     means = []
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for norms, mean in pool.map(draws, range(len(variables)), variables):
-            np.maximum(sup, norms, out=sup)
-            means.append(mean)
+
+    def fold(task):
+        norms, mean = task.result()
+        np.maximum(sup, norms, out=sup)
+        means.append(mean)
+
+    workers = worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque()
+        for i, var in enumerate(variables):
+            if len(in_flight) == 2 * workers:
+                fold(in_flight.popleft())
+            in_flight.append(pool.submit(draws, i, var))
+        while in_flight:
+            fold(in_flight.popleft())
     estimate = float(sup.mean())
     ci = 1.96 * float(sup.std(ddof=1)) / math.sqrt(samples)
     sigmas = np.array([diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables])

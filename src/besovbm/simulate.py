@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .spaces import SpaceSpec, padded_weights, row_blocks, space_norm
 
@@ -128,7 +127,7 @@ def gaussian_abs_moment(p: float) -> float:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    logm = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
+    logm = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
     return math.exp(logm / p)
 
 

@@ -82,6 +82,19 @@ def test_dyadic_increment_bm_mean_near_unit():
     assert abs(np.mean(vals) - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("space", [SCALAR, truncated_lp(1.0, 3)], ids=["scalar", "l1"])
+def test_scale_terms_equal_weighted_dyadic_increments(space):
+    path = bm_path(5, depth=10, sigma=(1.0, 0.5, 0.25)[: space.dim], space=space)
+    scales, p_list = (1, 3, 4), (1.0, 2.5, 4.0, math.inf)
+    terms = besov.scale_terms(path, 0.3, scales, p_list)
+    assert terms.shape == (3, 4)
+    for i, n in enumerate(scales):
+        for j, p in enumerate(p_list):
+            assert terms[i, j] == 2.0 ** (n * 0.3) * besov.dyadic_increment_lp(path, n, p)
+    with pytest.raises(ValueError):
+        besov.scale_terms(path, 0.5, scales, (2.0, 0.5))
+
+
 # --- Besov seminorm and norm --------------------------------------------------
 
 

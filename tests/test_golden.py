@@ -42,12 +42,12 @@ DIGESTS = {
 
 JSON_SEED = 3
 JSON_DIGESTS = {
-    "bm-limit": "4fc5ffa1d141c2d5449c448e1919e5c07709853466be2cfc2fdf1c44a30061de",
+    "bm-limit": "fbf9705417e4096235b1279713f3cafddb807808c371eb1e3869fe49d49916d8",
     "divergence": "d79a8438f7a14c9b1799e1c2c95ba221df3167e447d76ff4d86d0b3a45f8f820",
     "increment-variance": "a465bd4cd6ef5c0e43327a18a1c7698d764b669f1302f4a75499e5da8646fdc1",
     "maximal": "2ac576131cfd07f4b1804db619c7d7586d8f7173dd9af00c15b1fec9bbf7d744",
-    "moments": "7257e5053200a0beed473b64ae06821183782ae8acfab7ecb03ca7bf6d216f63",
-    "tau": "fd937c0b4249fdbe24fc9eba52d8ef06a3def1b0260f6c8249022d571606b820",
+    "moments": "c87af8e20a2d0c6adb78d9d404a4cbd3c30a022ebf4b0de2ef50a7b5abe4e1e3",
+    "tau": "ccb519281f9bfaae06eef3f26f6374de118238e283cf0c5f6985b2296e7b0683",
 }
 
 

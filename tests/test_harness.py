@@ -230,6 +230,13 @@ def test_divergence_fraction_ci_is_wilson():
     assert (n * hi - n * f) ** 2 == pytest.approx(z * z * n * hi * (1 - hi), rel=1e-9)
 
 
+def test_divergence_rejects_more_than_one_exponent():
+    # the probe runs one exponent, so a longer p.list is an error, and an empty one means p = 2
+    with pytest.raises(ValueError, match="one exponent"):
+        harness.run(small("divergence", paths=1, depth=14, p_list=(1.0, 2.0, 4.0)))
+    assert harness.run(small("divergence", paths=1, depth=14, p_list=())).rows[0].params[1] == "p=2"
+
+
 def test_divergence_single_path_ci_finite():
     result = harness.run(small("divergence", paths=1, depth=14, seed=RngSeed(3)))
     assert all(math.isfinite(row.ci) for row in result.rows)
@@ -255,10 +262,16 @@ def test_divergence_factor_rejects_smooth_paths(shape):
     depth, n_lo, n_hi, p, q = 18, 9, 12, 2.0, 2.0
     t = np.arange((1 << depth) + 1) / (1 << depth)
     path = PathSample(finite_lq(1, 2.0), depth, shape(t)[:, None])
-    terms = besov._weighted_scale_terms(path, 0.5, p, n_hi)
+    terms = besov.scale_terms(path, 0.5, range(1, n_hi + 1), [p])[:, 0]
     sums = np.cumsum(terms**q)
     _, factor = harness.divergence_growth(n_lo, n_hi, p, q)
     assert sums[n_hi - 1] / sums[n_lo - 1] < factor
+
+
+def test_harness_uses_only_public_besov_names():
+    # the drivers call besov's public kernels (scale_terms, integer_p_besov_totals)
+    source = Path(harness.__file__).read_text(encoding="utf-8")
+    assert "besov._" not in source
 
 
 # --- moments ----------------------------------------------------------------------
@@ -281,6 +294,12 @@ def test_moment_experiment_keeps_one_element_sigma():
     for label in ("l2", "l1", "linf"):
         assert refs[label, "p=1"] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
         assert refs[label, "p=2"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_moment_experiment_rejects_p_max_below_8():
+    # the Orlicz--Besov sup needs p_max >= 8, as besov_orlicz_norm does
+    with pytest.raises(ValueError, match="p_max must be at least 8"):
+        harness.run(small("moments", depth=8, paths=2, p_list=(1.0, 2.0), p_max=4))
 
 
 def test_moment_experiment_rejects_fractional_p():

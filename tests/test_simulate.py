@@ -121,6 +121,10 @@ def test_gaussian_abs_moment_values():
     assert gaussian_abs_moment(2.0) == pytest.approx(1.0, abs=1e-12)
     assert gaussian_abs_moment(1.0) == pytest.approx(MEAN_ABS_NORMAL, abs=1e-12)
     assert gaussian_abs_moment(4.0) == pytest.approx(3.0**0.25, abs=1e-12)
+    # E|N(0,1)|^p = (p-1)!!, times sqrt(2/pi) for odd p
+    for p in range(1, 257):
+        closed = (math.prod(range(p - 1, 0, -2)) * (math.sqrt(2.0 / math.pi) if p % 2 else 1.0)) ** (1.0 / p)
+        assert abs(gaussian_abs_moment(p) - closed) <= 8 * math.ulp(closed), p
     with pytest.raises(ValueError):
         gaussian_abs_moment(0.5)
 
