@@ -130,7 +130,7 @@ def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
 def _reduce_lp(norms: np.ndarray, weight: float, p: float) -> float:
     if math.isinf(p):
         return float(norms.max()) if norms.size else 0.0
-    return float((weight * np.sum(norms**p)) ** (1.0 / p))
+    return float((weight * np.sum(norms if p == 1.0 else norms**p)) ** (1.0 / p))
 
 
 def lp_norm_path(path: PathSample, p: float, sub_interval=(0.0, 1.0)) -> float:
@@ -200,12 +200,16 @@ def besov_norm(path: PathSample, params: BesovParams) -> NormReport:
 def _power_sums(norms: np.ndarray, weight: float, count: int) -> np.ndarray:
     """``(weight sum norms**p)^(1/p)`` for p = 1..count from one running power.
 
-    The running power is updated in place, one multiply per element and power.
+    The running power starts as ``norms`` itself (read, never written) and
+    is allocated at p = 2; after that it is updated in place, one multiply
+    per element and power.
     """
     out = np.empty(count)
-    run = np.array(norms)
+    run = norms
     for p in range(1, count + 1):
-        if p > 1:
+        if p == 2:
+            run = norms * norms
+        elif p > 2:
             np.multiply(run, norms, out=run)
         out[p - 1] = (weight * run.sum()) ** (1.0 / p)
     return out

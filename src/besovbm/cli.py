@@ -72,9 +72,9 @@ def read_path_csv(source, space=None) -> PathSample:
         dim = len(header) - 2
         rows = [line.strip().split(",") for line in handle if line.strip()]
     values = np.array([[float(c) for c in row[2:]] for row in rows])
-    depth = int(round(math.log2(len(rows) - 1)))
-    if (1 << depth) + 1 != len(rows):
-        raise ValueError("path CSV must contain 2^depth + 1 grid rows")
+    depth = (len(rows) - 1).bit_length() - 1
+    if depth < 1 or (1 << depth) + 1 != len(rows):
+        raise ValueError(f"path CSV must contain 2^depth + 1 grid rows with depth >= 1, not {len(rows)}")
     if space is None:
         space = finite_lq(dim, 2.0)
     return PathSample(space, depth, values)
@@ -92,7 +92,7 @@ def _cmd_besov_norm(args) -> int:
         path = sample_bm(space, sigma, args.depth, RngSeed(args.seed, args.stream))
         if args.dump_path:
             write_path_csv(path, args.dump_path)
-    n_max = args.n_max or besov.default_n_max(path.depth)
+    n_max = besov.default_n_max(path.depth) if args.n_max is None else args.n_max
     params = besov.BesovParams(args.alpha, args.p, parse_exponent(args.q), n_max)
     report = besov.besov_norm(path, params)
     payload = {

@@ -630,7 +630,9 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # scalar-paths wall time from 3.73 to 2.57 s but raised its CPU time
     # from 3.73 to 4.45 s (+19 %) and its peak RSS from 63.9 to 73.6 MB
     # (+15 %); with MALLOC_ARENA_MAX=1 the peak stayed at 73.9 MB, so the
-    # cost is the second path in flight, not allocator retention.
+    # cost is the second path in flight, not allocator retention.  These
+    # numbers predate the one-coordinate branch of space_norm, which made
+    # the serial scalar paths about a quarter faster.
     # Per path: the Besov totals for p = 1..max(p_ints), then the weighted
     # sup over p <= p_max, from the early-exit sweep.
     heads = np.array(

@@ -117,12 +117,20 @@ def space_norm(space: SpaceSpec, v):
 
     Accepts a single vector of length ``space.dim`` or a batch shaped
     ``(..., dim)``; batches return an array of norms.
+
+    On one coordinate every l^q norm is ``|x|``, returned exactly.  For
+    exponents 1 and inf that is the float the general formulas give; for 2
+    it is whenever ``2^-511 <= |x| <= 2^511``, where ``sqrt(x*x)`` rounds
+    back to ``|x|``.  Outside that range, and for other exponents, those
+    formulas round, underflow to 0 or overflow to inf.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape[-1] != space.dim:
         raise ValueError(f"vector has {arr.shape[-1]} coordinates, space has {space.dim}")
     p = space.exponent
-    if math.isinf(p):
+    if space.dim == 1:
+        out = np.abs(arr[..., 0])
+    elif math.isinf(p):
         # Column-wise: abs writes the coordinate-major (dim, ...) transpose
         # and max(axis=0) folds whole contiguous columns, where max(axis=-1)
         # reduces each short row on its own.  On a 2^14-element block (one

@@ -4,6 +4,8 @@ These stay deliberately dumb: grid scans, quadrature and a plain bisection,
 with no code paths shared with the library routines they are used to check.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -118,6 +120,23 @@ def theta_masked(x):
 def theta_psi_masked(x):
     """``x Theta'(x) - Theta(x) = (1 + x^2) exp(-1/(2 x^2))``, 0 at 0 by a mask."""
     return _theta_family_masked(x, lambda sq: (1.0 + sq) * np.exp(-0.5 / sq))
+
+
+def lq_norm_formula(x, q):
+    """``l^q`` norms of the rows of ``x`` by the general formulas, for any length.
+
+    ``max |x_i|`` for q = inf, ``sum |x_i|`` for 1, ``sqrt(sum x_i^2)`` for 2
+    and ``(sum |x_i|^q)^(1/q)`` otherwise: the reference for
+    ``spaces.space_norm``'s one-coordinate ``|x|``.
+    """
+    arr = np.asarray(x, dtype=float)
+    if math.isinf(q):
+        return np.abs(arr).max(axis=-1)
+    if q == 1.0:
+        return np.abs(arr).sum(axis=-1)
+    if q == 2.0:
+        return np.sqrt((arr * arr).sum(axis=-1))
+    return (np.abs(arr) ** q).sum(axis=-1) ** (1.0 / q)
 
 
 def expected_max_abs_gaussians(k):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,18 @@ def test_partial_qsum_growth_separates_bm_from_smooth_paths():
     terms = np.array([2.0 ** (m / 2.0) * besov.dyadic_increment_lp(lin, m, 2.0) for m in range(1, n_hi + 1)])
     sums = np.cumsum(terms**2)
     assert sums[n_hi - 1] / sums[n_lo - 1] < 1.05
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_scalar_sup_increment_norm_is_exactly_homogeneous(k):
+    # at 2^+-600 the squares of the increments would leave the float range
+    path = bm_path(6, depth=10)
+    scaled = PathSample(path.space, path.depth, np.ldexp(path.values, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 4, 10):
+            got = besov.dyadic_increment_lp(scaled, n, math.inf)
+            assert got == math.ldexp(besov.dyadic_increment_lp(path, n, math.inf), k)
 
 
 # --- row-blocked and in-place kernels against their whole-array references ----

@@ -56,6 +56,23 @@ def test_besov_norm_sampled_json(capsys):
     assert payload["q"] == "inf" and payload["n_max"] == 4
 
 
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_besov_norm_rejects_n_max_below_one(capsys, n_max):
+    code, out, err = run_cli(capsys, "besov-norm", "--depth", "8", "--n-max", n_max)
+    assert code == 2 and out == ""
+    assert "n_max must be at least 1" in err
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_path_csv_needs_a_dyadic_grid_of_depth_one_or_more(tmp_path, capsys, rows):
+    csv = tmp_path / "short.csv"
+    csv.write_text("k,t,coord_1\n" + "".join(f"{k},{k},0.5\n" for k in range(rows)), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"2\^depth \+ 1 grid rows with depth >= 1"):
+        cli.read_path_csv(csv)
+    code, _, err = run_cli(capsys, "besov-norm", "--path-csv", str(csv))
+    assert code == 2 and "2^depth + 1 grid rows" in err
+
+
 def test_path_csv_roundtrip(tmp_path, capsys):
     dump = tmp_path / "path.csv"
     scales = tmp_path / "scales.csv"

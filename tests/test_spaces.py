@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from besovbm.spaces import (
     space_norm,
     truncated_lp,
 )
+from tests.oracles import lq_norm_formula
 
 
 def test_space_norm_values():
@@ -42,6 +44,34 @@ def test_sup_norm_matches_row_max(dim, lead):
     got = space_norm(truncated_lp(math.inf, dim), x)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_scalar_space_norm_is_exact_abs(q):
+    # x*x underflows or overflows at both ends, and |x|^q is rounded for q = 1.5, 3
+    x = np.array([5e-324, 1e-200, 1.0, 1e200, 1.7e308])
+    batch = np.concatenate([x, -x])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for space in (finite_lq(1, q), truncated_lp(q, 1)):
+            got = space_norm(space, batch)
+            assert got.tobytes() == np.concatenate([x, x]).tobytes()
+            assert [space_norm(space, [v]) for v in -x] == list(x)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_scalar_space_norm_matches_the_general_formula(q):
+    # sqrt(x*x) rounds back to |x| for 2^-511 <= |x| <= 2^511
+    rng = np.random.default_rng(15)
+    x = np.ldexp(rng.uniform(1.0, 2.0, 20_000), rng.integers(-511, 511, 20_000))
+    x[::2] *= -1.0
+    special = [2.0**-511, -(2.0**511), math.nan, math.inf, -math.inf, -0.0, 0.0]
+    batch = np.concatenate([x, special])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = space_norm(finite_lq(1, q), batch)
+        want = lq_norm_formula(batch, q)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_space_norm_dimension_mismatch():
