@@ -19,10 +19,10 @@ seed keyed by (experiment, model, role, index), so no two draws share
 randomness and the partition of work across workers cannot change a result.
 
 Two stages run on a thread pool of :func:`worker_count` threads: the paths
-of the moment experiment (see :func:`run_moment_experiment`) and the
-per-variable passes of the maximal experiment (see
-:func:`besovbm.maxima.empirical_sup_mean`).  Both pools return their
-results in task order, so no report depends on the number of workers.
+of the moment experiment (see :func:`run_moment_experiment`), returned in
+path order, and the per-variable passes of the maximal experiment (see
+:func:`besovbm.maxima.empirical_sup_mean`), whose folds are exact in any
+order.  So no report depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ EXPERIMENTS = {
     "bm-limit": Experiment(
         "scaled dyadic increment norms against the moment of |W(1)|",
         lambda cfg: run_limit_experiment(cfg),
-        dict(scales=(8, 9, 10), p_list=(1.0, 2.0, 4.0)),
+        dict(p_list=(1.0, 2.0, 4.0)),
         frozenset({"space.*", "sigma", "depth", "scales", "p.list", "mc.paths"}),
     ),
     "divergence": Experiment(
@@ -479,6 +479,8 @@ def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> lis
 
 def _check_scales(cfg: ExperimentConfig, scales) -> None:
     cap = cfg.depth - SCALE_MARGIN
+    if cap < 1:
+        raise ValueError(f"depth {cfg.depth} leaves no trusted scale: it must exceed {SCALE_MARGIN}")
     bad = [n for n in scales if not 1 <= n <= cap]
     if bad:
         raise ValueError(f"scales {bad} exceed the trusted range [1, depth - {SCALE_MARGIN}] = [1, {cap}]")
@@ -498,8 +500,10 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     For each scale n and exponent p, the mean over paths of
     ``Y = 2^(n/2) * dyadic_increment_lp(path, n, p)`` is compared with
     ``c_p = (E|W(1)|^p)^(1/p)``; a row passes when the ratio is within 2%.
+    Without ``scales``, the three highest trusted scales run (8-10 at depth 16).
     """
-    scales = cfg.scales or (cfg.depth - SCALE_MARGIN,)
+    cap = cfg.depth - SCALE_MARGIN
+    scales = cfg.scales or tuple(range(max(1, cap - 2), cap + 1))
     _check_scales(cfg, scales)
     refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, _draw_seed(cfg, 0, "reference"))
 
@@ -828,8 +832,11 @@ def run_maximal_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the registered driver of ``cfg.experiment``."""
-    return _experiment(cfg.experiment).driver(cfg)
+    """Run the registered driver of ``cfg.experiment``; only divergence reads an empty ``p.list`` (as p = 2)."""
+    record = _experiment(cfg.experiment)
+    if not cfg.p_list and "p.list" in record.keys and cfg.experiment != "divergence":
+        raise ValueError(f"p.list is empty: {cfg.experiment} needs at least one exponent")
+    return record.driver(cfg)
 
 
 # ---------------------------------------------------------------------------

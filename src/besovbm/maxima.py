@@ -12,14 +12,15 @@ with the median variant ``M + 2 rho`` available as a secondary route.
 checks it against the bounds; per-variable means are computed analytically
 in the effectively scalar case and by a Monte Carlo pass otherwise.  Each
 variable is one thread-pool task drawing its supremum samples and its mean
-pass from two child keys of the ensemble's seed; the results are folded in
-variable order, so the report does not depend on the number of threads.
+pass from two child keys of the ensemble's seed; each task folds its samples
+into the running supremum itself.  ``np.maximum`` and ``max`` are exact, so
+the fold order, and with it the number of threads, cannot change the report.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -122,43 +123,32 @@ def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
 def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> EstimateReport:
     """Monte Carlo estimate of ``E sup_n |xi_n|`` with the analytic sandwich.
 
-    One pool task per variable returns its ``samples`` sampled norms and its
-    mean; the norms are folded into the running supremum in variable order
-    as the results arrive.  At most ``2 * worker_count()`` tasks are in
-    flight, so no more norm vectors than that wait behind a slow task.
-    Variable ``i`` draws its norms from ``seed.child(i, 0)`` and its mean
-    pass from ``seed.child(i, 1)``, so no two draws share randomness.  Weak
-    variances come from the diagonal closed form.
+    One pool task per variable draws its ``samples`` sampled norms, folds
+    them into the shared running supremum under a lock, and returns its
+    mean.  Both folds are exact, so the report does not depend on the order
+    in which tasks finish; at most ``worker_count()`` norm vectors, one per
+    running task, are alive at once.  Variable ``i`` draws its norms from
+    ``seed.child(i, 0)`` and its mean pass from ``seed.child(i, 1)``, so no
+    two draws share randomness.  Weak variances come from the diagonal
+    closed form.
     """
     if samples < 100:
         raise ValueError("at least 100 samples are required")
     variables = ensemble.variables
+    sup = np.zeros(samples)
+    lock = threading.Lock()
 
     def draws(i, var):
         norms = sampled_norms(var.space, var.sigma, samples, seed.child(i, 0))
-        return norms, variable_mean(var, seed.child(i, 1))
+        with lock:
+            np.maximum(sup, norms, out=sup)
+        return variable_mean(var, seed.child(i, 1))
 
-    sup = np.zeros(samples)
-    means = []
-
-    def fold(task):
-        norms, mean = task.result()
-        np.maximum(sup, norms, out=sup)
-        means.append(mean)
-
-    workers = worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque()
-        for i, var in enumerate(variables):
-            if len(in_flight) == 2 * workers:
-                fold(in_flight.popleft())
-            in_flight.append(pool.submit(draws, i, var))
-        while in_flight:
-            fold(in_flight.popleft())
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        m = max(pool.map(draws, range(len(variables)), variables))
     estimate = float(sup.mean())
     ci = 1.96 * float(sup.std(ddof=1)) / math.sqrt(samples)
     sigmas = np.array([diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables])
-    m = max(means)
     lower = lower_bound(m, sigmas)
     upper = upper_bound_mean(m, sigmas)
     return EstimateReport(estimate, ci, lower, upper, _verdict(estimate, ci, lower, upper))

@@ -73,6 +73,32 @@ def test_path_csv_needs_a_dyadic_grid_of_depth_one_or_more(tmp_path, capsys, row
     assert code == 2 and "2^depth + 1 grid rows" in err
 
 
+@pytest.mark.parametrize("space_p", ["1", "inf"])
+def test_path_csv_takes_the_space_exponent(tmp_path, capsys, space_p):
+    dump = tmp_path / "dim2.csv"
+    sampled = ("--depth", "8", "--seed", "7", "--sigma", "1,0.5", "--space-dim", "2", "--space-p", space_p)
+    code, out_sampled, _ = run_cli(capsys, "besov-norm", *sampled, "--dump-path", str(dump))
+    assert code == 0
+    for kind in ((), ("--space-kind", "truncated_lp")):
+        code, out_loaded, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump), "--space-p", space_p, *kind)
+        assert code == 0
+        assert json.loads(out_loaded) == json.loads(out_sampled)
+    code, out_l2, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump))
+    assert code == 0
+    assert json.loads(out_l2)["total"] != json.loads(out_sampled)["total"]
+
+
+def test_path_csv_dimension_comes_from_its_header(tmp_path, capsys):
+    dump = tmp_path / "dim2.csv"
+    run_cli(capsys, "besov-norm", "--depth", "6", "--space-dim", "2", "--sigma", "1,0.5", "--dump-path", str(dump))
+    assert cli.read_path_csv(dump).space == finite_lq(2, 2.0)
+    code, _, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump), "--space-dim", "2")
+    assert code == 0
+    code, out, err = run_cli(capsys, "besov-norm", "--path-csv", str(dump), "--space-dim", "3")
+    assert code == 2 and out == ""
+    assert "2 coordinate columns, not the space dimension 3" in err
+
+
 def test_path_csv_roundtrip(tmp_path, capsys):
     dump = tmp_path / "path.csv"
     scales = tmp_path / "scales.csv"
@@ -160,6 +186,32 @@ def test_experiment_with_config_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bm-limit", "--config", str(cfg))
     assert code == 0
     assert "n=8" in out
+
+
+@pytest.mark.parametrize("experiment", ["bm-limit", "increment-variance", "tau", "moments"])
+def test_experiment_rejects_an_empty_p_list(tmp_path, capsys, monkeypatch, experiment):
+    # an empty list used to give zero rows and "all verdicts pass", or max() of nothing
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("p.list =\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, experiment, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"p.list is empty: {experiment} needs at least one exponent" in err
+
+
+@pytest.mark.parametrize("depth, scales", [(12, ["n=4", "n=5", "n=6"]), (8, ["n=1", "n=2"]), (7, ["n=1"])])
+def test_bm_limit_default_scales_are_the_three_highest_trusted(capsys, depth, scales):
+    code, out, _ = run_cli(capsys, "bm-limit", "--depth", str(depth), "--paths", "20", "--seed", "5")
+    assert code in (0, 1)
+    rows = [line.split() for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    assert sorted({row[2] for row in rows}) == scales
+    assert len(rows) == 3 * len(scales)
+
+
+def test_bm_limit_needs_a_trusted_scale(capsys):
+    code, out, err = run_cli(capsys, "bm-limit", "--depth", "6", "--paths", "5")
+    assert code == 2 and out == ""
+    assert "depth 6 leaves no trusted scale" in err
 
 
 def test_experiment_id_must_match_the_subcommand(tmp_path, capsys, monkeypatch):

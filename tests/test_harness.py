@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -65,6 +66,22 @@ def test_readme_config_block_parses():
     assert cfg.paths == 200 and cfg.mc_samples == 10_000
     assert cfg.seed == RngSeed(20260808)
     assert cfg.out_path == "reports/limit" and cfg.formats == ("csv", "json-text")
+
+
+def test_readme_table_rows_have_the_header_cell_count():
+    # GitHub splits table cells at every unescaped pipe, even inside a code span
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    header, rows = None, 0
+    for line in readme.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = len(re.split(r"(?<!\\)\|", line.strip())) - 2
+        if header is None:
+            header = cells
+        assert cells == header, line
+        rows += 1
+    assert rows == 17  # the module table and the flag table
 
 
 def test_config_rejects_another_experiment_id():

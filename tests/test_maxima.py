@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +89,55 @@ def test_empirical_sup_pair_matches_quadrature():
 def test_empirical_sup_requires_samples():
     with pytest.raises(ValueError):
         maxima.empirical_sup_mean(scalar_ensemble([1.0]), 50, RngSeed(0))
+
+
+def _sup_pass_with_slow_head(monkeypatch, workers):
+    """Run a 16-variable l^2 ensemble whose first mean pass sleeps 20 ms.
+
+    Returns the report and the largest number of sampled norm vectors that
+    were alive at once.
+    """
+    ensemble = EnsembleSpec(tuple(
+        GaussianVarSpec(truncated_lp(2.0, 3), (1.0, 0.9**k, 0.5)) for k in range(16)
+    ))
+    real_mean, real_norms = maxima.variable_mean, maxima.sampled_norms
+    lock = threading.Lock()
+    alive = [0, 0]  # now, peak
+
+    def release():
+        with lock:
+            alive[0] -= 1
+
+    def tracked_norms(*args):
+        norms = real_norms(*args)
+        with lock:
+            alive[0] += 1
+            alive[1] = max(alive)
+        weakref.finalize(norms, release)
+        return norms
+
+    def slow_head_mean(spec, seed):
+        if spec is ensemble.variables[0]:
+            time.sleep(0.02)
+        return real_mean(spec, seed)
+
+    monkeypatch.setattr(maxima, "worker_count", lambda: workers)
+    monkeypatch.setattr(maxima, "sampled_norms", tracked_norms)
+    monkeypatch.setattr(maxima, "variable_mean", slow_head_mean)
+    report = maxima.empirical_sup_mean(ensemble, 2_000, RngSeed(45))
+    return report, alive[1]
+
+
+def test_sup_pass_holds_one_norm_vector_per_worker(monkeypatch):
+    # a bounded queue of finished tasks would keep their vectors behind the slow head
+    _, peak = _sup_pass_with_slow_head(monkeypatch, 2)
+    assert 1 <= peak <= 2
+
+
+def test_sup_pass_report_independent_of_completion_order(monkeypatch):
+    reports = [_sup_pass_with_slow_head(monkeypatch, workers)[0] for workers in (1, 2)]
+    fields = [[np.float64(v).tobytes() for v in dataclasses.astuple(r)[:4]] + [r.verdict] for r in reports]
+    assert fields[0] == fields[1]
 
 
 def test_estimate_monotone_in_prefix_ensembles():
