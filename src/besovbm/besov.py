@@ -101,18 +101,6 @@ class NormReport:
     per_scale: tuple  # pairs (n, 2^(n alpha) * difference norm)
 
 
-def _interval_indices(path: PathSample, sub_interval) -> tuple[int, int]:
-    a, b = sub_interval
-    n = path.grid_size
-    ka, kb = a * n, b * n
-    if abs(ka - round(ka)) > 1e-9 or abs(kb - round(kb)) > 1e-9:
-        raise ValueError("sub-interval endpoints must align with the dyadic grid")
-    ka, kb = int(round(ka)), int(round(kb))
-    if not 0 <= ka < kb <= n:
-        raise ValueError("sub-interval must be nonempty and contained in [0, 1]")
-    return ka, kb
-
-
 def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
     """Norms of the rows of ``values``, or of ``values[k + shift] - values[k]``.
 
@@ -133,15 +121,14 @@ def _reduce_lp(norms: np.ndarray, weight: float, p: float) -> float:
     return float((weight * np.sum(norms if p == 1.0 else norms**p)) ** (1.0 / p))
 
 
-def lp_norm_path(path: PathSample, p: float, sub_interval=(0.0, 1.0)) -> float:
-    """Left-endpoint Riemann L^p norm of t -> |path(t)| over [a, b).
+def lp_norm_path(path: PathSample, p: float) -> float:
+    """Left-endpoint Riemann L^p norm of t -> |path(t)| over [0, 1).
 
-    ``(2^-N sum_{t_k in [a,b)} |values_k|^p)^(1/p)``; the maximum for p = inf.
+    ``(2^-N sum_{t_k < 1} |values_k|^p)^(1/p)``; the maximum for p = inf.
     """
     if not p >= 1.0:
         raise ValueError("p must lie in [1, inf]")
-    ka, kb = _interval_indices(path, sub_interval)
-    return _reduce_lp(_row_norms(path.space, path.values[ka:kb]), 2.0**-path.depth, p)
+    return _reduce_lp(_row_norms(path.space, path.values[: path.grid_size]), 2.0**-path.depth, p)
 
 
 def _increment_norms(path: PathSample, n: int) -> np.ndarray:

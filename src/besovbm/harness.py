@@ -13,7 +13,8 @@ Each experiment is one :class:`Experiment` record in :data:`EXPERIMENTS`;
 the defaults, the dispatch, the config-key check and the CLI all read it.
 
 The path experiments (bm-limit, divergence, moments, tau) sample their
-paths and take a per-path statistic through one driver, :func:`map_paths`.
+paths and take a per-path statistic through one driver, :func:`map_paths`,
+and trust scales up to the one cap of :func:`_trusted_n_max`, ``depth - 6``.
 Every draw takes its seed from :func:`_draw_seed`, a child of the config's
 seed keyed by (experiment, model, role, index), so no two draws share
 randomness and the partition of work across workers cannot change a result.
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import besov
-from .besov import SCALE_MARGIN, integer_p_besov_totals
+from .besov import integer_p_besov_totals
 from .maxima import empirical_sup_mean
 from .simulate import (
     GaussianVarSpec,
@@ -46,6 +47,7 @@ from .simulate import (
     PathSample,
     RngSeed,
     gaussian_abs_moment,
+    mean_ci,
     sample_bm,
     sampled_norms,
     worker_count,
@@ -403,14 +405,6 @@ def _ratio(estimate: float, reference: float) -> float:
     return 1.0 if estimate == 0.0 else math.inf
 
 
-def _mean_ci(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, 0.0
-    return mean, 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-
-
 def _wilson_half_width(frac: float, n: int) -> float:
     """Half-width of the 95 % Wilson score interval for a binomial fraction.
 
@@ -477,13 +471,11 @@ def map_paths(cfg: ExperimentConfig, models, statistic, workers: int = 1) -> lis
     return [values[s * cfg.paths : (s + 1) * cfg.paths] for s in range(len(models))]
 
 
-def _check_scales(cfg: ExperimentConfig, scales) -> None:
-    cap = cfg.depth - SCALE_MARGIN
-    if cap < 1:
-        raise ValueError(f"depth {cfg.depth} leaves no trusted scale: it must exceed {SCALE_MARGIN}")
-    bad = [n for n in scales if not 1 <= n <= cap]
-    if bad:
-        raise ValueError(f"scales {bad} exceed the trusted range [1, depth - {SCALE_MARGIN}] = [1, {cap}]")
+def _trusted_n_max(depth: int) -> int:
+    """The largest trusted scale of a path of this depth; a depth that leaves none is an error."""
+    if depth <= besov.SCALE_MARGIN:
+        raise ValueError(f"depth {depth} leaves no trusted scale: it must exceed {besov.SCALE_MARGIN}")
+    return besov.default_n_max(depth)
 
 
 def _integer_exponents(cfg: ExperimentConfig, p_cap: float = math.inf) -> list:
@@ -502,9 +494,11 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ``c_p = (E|W(1)|^p)^(1/p)``; a row passes when the ratio is within 2%.
     Without ``scales``, the three highest trusted scales run (8-10 at depth 16).
     """
-    cap = cfg.depth - SCALE_MARGIN
+    cap = _trusted_n_max(cfg.depth)
     scales = cfg.scales or tuple(range(max(1, cap - 2), cap + 1))
-    _check_scales(cfg, scales)
+    bad = [n for n in scales if not 1 <= n <= cap]
+    if bad:
+        raise ValueError(f"scales {bad} exceed the trusted range [1, {cap}]")
     refs = _reference_moments(cfg.space, cfg.sigma, cfg.p_list, _draw_seed(cfg, 0, "reference"))
 
     (samples,) = map_paths(
@@ -514,10 +508,9 @@ def run_limit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for a, n in enumerate(scales):
         for b, p in enumerate(cfg.p_list):
-            estimate, ci = _mean_ci(samples[:, a, b])
+            estimate, ci = mean_ci(samples[:, a, b])
             ref = refs[float(p)]
-            ratio = _ratio(estimate, ref)
-            verdict = abs(ratio - 1.0) <= LIMIT_RTOL if ref > 0 else estimate == 0.0
+            verdict = abs(_ratio(estimate, ref) - 1.0) <= LIMIT_RTOL
             rows.append(
                 ResultRow(
                     (f"n={n}", f"p={p:g}", f"t={2.0**-n:.8g}"),
@@ -549,7 +542,7 @@ def divergence_growth(n_lo: int, n_hi: int, p: float, q: float) -> tuple:
 def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Partial l^q sums of the weighted scale terms as the cap grows.
 
-    The terms are taken at the one exponent of ``p.list`` (2 if it is empty).
+    The terms are taken at the one exponent of ``p.list``.
 
     Emits the mean partial q-sum seminorm for every cap n, then the fraction
     of paths whose partial q-sum grows by at least the factor of
@@ -563,12 +556,12 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if math.isinf(cfg.q):
         raise ValueError("the divergence probe needs a finite q")
     n_lo = cfg.depth // 2
-    n_hi = cfg.depth - SCALE_MARGIN
-    if n_lo < 1 or n_lo >= n_hi:
+    n_hi = _trusted_n_max(cfg.depth)
+    if n_lo >= n_hi:
         raise ValueError("depth too small for the divergence probe")
-    if len(cfg.p_list) > 1:
+    if len(cfg.p_list) != 1:
         raise ValueError("the divergence probe takes one exponent in p.list")
-    p = cfg.p_list[0] if cfg.p_list else 2.0
+    (p,) = cfg.p_list
 
     def statistic(path):
         sums = np.cumsum(besov.scale_terms(path, 0.5, range(1, n_hi + 1), [p])[:, 0] ** cfg.q)
@@ -579,7 +572,7 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     values = np.array(values).reshape(cfg.paths, n_hi + 1)
     rows = []
     for n in range(1, n_hi + 1):
-        estimate, ci = _mean_ci(values[:, n - 1])
+        estimate, ci = mean_ci(values[:, n - 1])
         rows.append(ResultRow((f"n_max={n}", f"p={p:g}", f"q={cfg.q:g}"), estimate, ci, None, True))
     predicted, factor = divergence_growth(n_lo, n_hi, p, cfg.q)
     growth = values[:, n_hi]
@@ -593,7 +586,7 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             frac >= GROWTH_FRACTION,
         )
     )
-    mean_growth, ci = _mean_ci(growth)
+    mean_growth, ci = mean_ci(growth)
     rows.append(
         ResultRow(
             ("mean-growth", f"n_lo={n_lo}", f"n_hi={n_hi}"),
@@ -627,7 +620,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.paths < 2:
         raise ValueError("at least two paths are required")
     p_ints = _integer_exponents(cfg, cfg.p_max)
-    n_max = besov.default_n_max(cfg.depth)
+    n_max = _trusted_n_max(cfg.depth)
     models = _moment_space_models(cfg)
     # Only this experiment pools its paths.  Pooling bm-limit, divergence and
     # tau as well (2 vCPUs, 24-s benchmark runs, seeds 31-33) cut the
@@ -654,7 +647,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         orlicz_vals = heads[s][:, -1]
         ratios = []
         for j, p in enumerate(p_ints):
-            estimate, ci = _mean_ci(totals[:, j])
+            estimate, ci = mean_ci(totals[:, j])
             ref = refs[float(p)]
             ratio = _ratio(estimate, ref)
             ratios.append(ratio)
@@ -670,7 +663,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 stability <= BESOV_STABILITY_MAX,
             )
         )
-        estimate, ci = _mean_ci(orlicz_vals)
+        estimate, ci = mean_ci(orlicz_vals)
         ref = refs[1.0]
         ratio = _ratio(estimate, ref)
         verdict = ORLICZ_RATIO_BAND[0] <= ratio <= ORLICZ_RATIO_BAND[1]
@@ -690,7 +683,7 @@ def run_tau_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("the tau probe needs at least 500 paths")
     p_ints = _integer_exponents(cfg)
     p_max = max(p_ints)
-    n_max = besov.default_n_max(cfg.depth)
+    n_max = _trusted_n_max(cfg.depth)
     refs = _reference_moments(cfg.space, cfg.sigma, p_ints, _draw_seed(cfg, 0, "reference"))
 
     def statistic(path):
@@ -763,28 +756,29 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
     net lower bound (the same value maximised over a dual net); and the
     convolution upper value ``c^(1/2 + 1/p) |i_W|``.  The lower bound must
     not exceed the upper value, and the test functional must match its
-    closed form within 2%.
+    closed form within 2%.  Each lag ``c = 2^-j`` takes its ``j`` from
+    ``scales``, which must be nonempty with every ``j`` in ``[1, depth]``;
+    every ``p`` must be at least 1.
     """
-    js = tuple(int(j) for j in (cfg.scales or (2, 4, 6)))
-    for j in js:
-        if not 1 <= j <= cfg.depth:
-            raise ValueError("each lag exponent must lie in [1, depth]")
+    if not cfg.scales:
+        raise ValueError("scales is empty: increment-variance needs at least one lag")
+    if not all(p >= 1.0 for p in cfg.p_list):
+        raise ValueError("p must be at least 1")
     net = dual_net(cfg.space, max(64, 2 * cfg.space.dim), _draw_seed(cfg, 0, "dual-net"))
     sig = padded_weights(cfg.space, cfg.sigma)
+    net_coupling = float(np.max(np.sqrt((net**2) @ (sig**2))))
     iw = iw_norm(cfg.space, cfg.sigma)
     rows = []
-    for j in js:
+    for j in map(int, cfg.scales):
         c = 2.0**-j
         var_a = discrete_increment_integral_variance(cfg.depth, j)
         discrete_raw, closed_raw = exact_test_functional_moment(cfg.space, cfg.sigma, cfg.depth, j)
-        net_coupling = float(np.max(np.sqrt((net**2) @ (sig**2))))
         for p in cfg.p_list:
             pprime = dual_exponent(p)
             window = c ** (1.0 / pprime) if not math.isinf(pprime) else 1.0
             estimate = math.sqrt(discrete_raw) / window
             reference = math.sqrt(closed_raw) / window
-            ratio = _ratio(estimate, reference)
-            verdict = abs(ratio - 1.0) <= TEST_FUNCTIONAL_RTOL if reference > 0 else estimate == 0.0
+            verdict = abs(_ratio(estimate, reference) - 1.0) <= TEST_FUNCTIONAL_RTOL
             rows.append(
                 ResultRow((f"c=2^-{j}", f"p={p:g}", "row=test-functional"), estimate, 0.0, reference, verdict)
             )
@@ -796,7 +790,7 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
                     lower,
                     0.0,
                     young,
-                    lower <= young * (1.0 + YOUNG_TOL) if young > 0 else lower == 0.0,
+                    _ratio(lower, young) <= 1.0 + YOUNG_TOL,
                 )
             )
             rows.append(
@@ -832,9 +826,12 @@ def run_maximal_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the registered driver of ``cfg.experiment``; only divergence reads an empty ``p.list`` (as p = 2)."""
+    """Run the registered driver of ``cfg.experiment``.
+
+    An experiment that reads ``p.list`` rejects an empty one before it draws.
+    """
     record = _experiment(cfg.experiment)
-    if not cfg.p_list and "p.list" in record.keys and cfg.experiment != "divergence":
+    if not cfg.p_list and "p.list" in record.keys:
         raise ValueError(f"p.list is empty: {cfg.experiment} needs at least one exponent")
     return record.driver(cfg)
 

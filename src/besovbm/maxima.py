@@ -28,7 +28,8 @@ import numpy as np
 
 from .orlicz import as_weights, luxemburg_norm, theta
 from .simulate import (
-    NORM_MC_SAMPLES, EnsembleSpec, GaussianVarSpec, RngSeed, mean_norm_mc, sampled_norms, worker_count,
+    NORM_MC_SAMPLES, EnsembleSpec, GaussianVarSpec, RngSeed, mean_ci, mean_norm_mc, sampled_norms,
+    worker_count,
 )
 # ``space_norm`` is not called here; it stays because the benchmark tracer
 # (perfbench/spans.py) patches ``maxima.space_norm``.
@@ -146,8 +147,7 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         m = max(pool.map(draws, range(len(variables)), variables))
-    estimate = float(sup.mean())
-    ci = 1.96 * float(sup.std(ddof=1)) / math.sqrt(samples)
+    estimate, ci = mean_ci(sup)
     sigmas = np.array([diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables])
     lower = lower_bound(m, sigmas)
     upper = upper_bound_mean(m, sigmas)

@@ -28,6 +28,7 @@ __all__ = [
     "sample_bm",
     "sampled_norms",
     "gaussian_abs_moment",
+    "mean_ci",
     "worker_count",
     "MAX_DEPTH",
     "NORM_MC_SAMPLES",
@@ -129,6 +130,15 @@ def gaussian_abs_moment(p: float) -> float:
         raise ValueError("p must be at least 1")
     logm = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
     return math.exp(logm / p)
+
+
+def mean_ci(values) -> tuple[float, float]:
+    """The mean of ``values`` and the half-width of its normal 95 % CI (0 for one value)."""
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    if arr.size < 2:
+        return mean, 0.0
+    return mean, 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
 
 
 def sampled_norms(space: SpaceSpec, sigma, samples: int, seed: RngSeed) -> np.ndarray:

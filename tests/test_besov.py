@@ -46,15 +46,6 @@ def test_lp_norm_zero_path():
     assert besov.lp_norm_path(constant_path(0.0), 2.0) == 0.0
 
 
-def test_lp_norm_subinterval_alignment():
-    path = constant_path(1.0, depth=4)
-    assert besov.lp_norm_path(path, 1.0, (0.25, 0.75)) == pytest.approx(0.5 ** (1.0 / 1.0) * 1.0)
-    with pytest.raises(ValueError):
-        besov.lp_norm_path(path, 1.0, (0.1, 0.9))
-    with pytest.raises(ValueError):
-        besov.lp_norm_path(path, 1.0, (0.5, 0.25))
-
-
 # --- dyadic increments --------------------------------------------------------
 
 

@@ -188,7 +188,7 @@ def test_experiment_with_config_file(tmp_path, capsys):
     assert "n=8" in out
 
 
-@pytest.mark.parametrize("experiment", ["bm-limit", "increment-variance", "tau", "moments"])
+@pytest.mark.parametrize("experiment", ["bm-limit", "divergence", "increment-variance", "tau", "moments"])
 def test_experiment_rejects_an_empty_p_list(tmp_path, capsys, monkeypatch, experiment):
     # an empty list used to give zero rows and "all verdicts pass", or max() of nothing
     cfg = tmp_path / "empty.cfg"
@@ -212,6 +212,34 @@ def test_bm_limit_needs_a_trusted_scale(capsys):
     code, out, err = run_cli(capsys, "bm-limit", "--depth", "6", "--paths", "5")
     assert code == 2 and out == ""
     assert "depth 6 leaves no trusted scale" in err
+
+
+@pytest.mark.parametrize("experiment", ["moments", "tau"])
+def test_path_experiment_needs_a_trusted_scale(capsys, monkeypatch, experiment):
+    # both used to run scale 1 alone at depth 6 and report "all verdicts pass"
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, experiment, "--depth", "6")
+    assert code == 2 and out == ""
+    assert "depth 6 leaves no trusted scale" in err
+
+
+def test_increment_variance_rejects_an_empty_scales(tmp_path, capsys):
+    # an empty list used to run the driver's own copy of the default lags
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("scales =\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "increment-variance", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "scales is empty: increment-variance needs at least one lag" in err
+
+
+@pytest.mark.parametrize("exponents", ["0.5", "-1", "2, 0.5"])
+def test_increment_variance_rejects_an_exponent_below_one(tmp_path, capsys, exponents):
+    # 0.5 and -1 used to print 18 PASS rows and exit 0
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(f"p.list = {exponents}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "increment-variance", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "p must be at least 1" in err
 
 
 def test_experiment_id_must_match_the_subcommand(tmp_path, capsys, monkeypatch):

@@ -164,6 +164,11 @@ def test_parse_ensemble_groups():
     assert configs[1].build().variables[0].space.dim == 1
 
 
+@pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
+def test_registry_is_the_only_source_of_defaults(experiment):
+    assert harness.config_from_mapping(experiment, {}) == harness.default_config(experiment)
+
+
 def test_default_config_unknown_experiment():
     with pytest.raises(ValueError):
         harness.default_config("nope")
@@ -248,10 +253,9 @@ def test_divergence_fraction_ci_is_wilson():
 
 
 def test_divergence_rejects_more_than_one_exponent():
-    # the probe runs one exponent, so a longer p.list is an error, and an empty one means p = 2
+    # the probe runs one exponent, so a longer p.list is an error
     with pytest.raises(ValueError, match="one exponent"):
         harness.run(small("divergence", paths=1, depth=14, p_list=(1.0, 2.0, 4.0)))
-    assert harness.run(small("divergence", paths=1, depth=14, p_list=())).rows[0].params[1] == "p=2"
 
 
 def test_divergence_single_path_ci_finite():
