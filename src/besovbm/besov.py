@@ -43,6 +43,7 @@ __all__ = [
     "SCALE_MARGIN",
     "POWER_CAP",
     "default_n_max",
+    "check_q",
     "BesovParams",
     "NormReport",
     "lp_norm_path",
@@ -71,6 +72,12 @@ def default_n_max(depth: int) -> int:
     return max(depth - SCALE_MARGIN, 1)
 
 
+def check_q(q: float) -> None:
+    """Reject an outer (scale-sum) exponent outside ``[1, inf]``, NaN included."""
+    if not (q >= 1.0):
+        raise ValueError("q must lie in [1, inf]")
+
+
 @dataclass(frozen=True)
 class BesovParams:
     """Parameters (alpha, p, q, n_max) of a dyadic Besov norm."""
@@ -85,8 +92,7 @@ class BesovParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not (1.0 <= self.p < math.inf):
             raise ValueError("p must lie in [1, inf)")
-        if not (self.q >= 1.0):
-            raise ValueError("q must lie in [1, inf]")
+        check_q(self.q)
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 

@@ -46,7 +46,7 @@ from .simulate import (
     NORM_MC_SAMPLES,
     PathSample,
     RngSeed,
-    gaussian_abs_moment,
+    diag_norm_moment,
     mean_ci,
     sample_bm,
     sampled_norms,
@@ -60,7 +60,6 @@ from .spaces import (
     iw_norm,
     padded_weights,
     parse_exponent,
-    scalar_weight,
     truncated_lp,
 )
 
@@ -417,15 +416,17 @@ def _wilson_half_width(frac: float, n: int) -> float:
 def _reference_moments(space, sigma, p_values, seed) -> dict:
     """c_p = (E|W(1)|^p)^(1/p) for each requested p, plus p = 1.
 
-    Analytic for an effectively scalar weight sequence; a single Monte Carlo
-    batch of ``NORM_MC_SAMPLES`` draws of W(1) otherwise.
+    Exact wherever :func:`simulate.diag_norm_moment` has a closed form; the
+    rest come from one Monte Carlo batch of ``NORM_MC_SAMPLES`` draws of
+    W(1) from ``seed``, drawn only if some p needs it.
     """
     wanted = sorted(set(float(p) for p in p_values) | {1.0})
-    scale = scalar_weight(sigma)
-    if scale is not None:
-        return {p: scale * gaussian_abs_moment(p) for p in wanted}
-    norms = sampled_norms(space, sigma, NORM_MC_SAMPLES, seed)
-    return {p: float(np.mean(norms**p) ** (1.0 / p)) for p in wanted}
+    refs = {p: diag_norm_moment(space, sigma, p) for p in wanted}
+    missing = [p for p, ref in refs.items() if ref is None]
+    if missing:
+        norms = sampled_norms(space, sigma, NORM_MC_SAMPLES, seed)
+        refs.update({p: float(np.mean(norms**p) ** (1.0 / p)) for p in missing})
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +554,7 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     discrimination.  The last row compares the mean growth with the
     linear-divergence prediction ``G*``.
     """
+    besov.check_q(cfg.q)
     if math.isinf(cfg.q):
         raise ValueError("the divergence probe needs a finite q")
     n_lo = cfg.depth // 2

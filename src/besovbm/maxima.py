@@ -9,11 +9,12 @@ For independent centered Gaussian vectors ``xi_n`` with first moments
 
 with the median variant ``M + 2 rho`` available as a secondary route.
 :func:`empirical_sup_mean` estimates the left-hand side by Monte Carlo and
-checks it against the bounds; per-variable means are computed analytically
-in the effectively scalar case and by a Monte Carlo pass otherwise.  Each
-variable is one thread-pool task drawing its supremum samples and its mean
-pass from two child keys of the ensemble's seed; each task folds its samples
-into the running supremum itself.  ``np.maximum`` and ``max`` are exact, so
+checks it against the bounds; per-variable means are exact
+(:func:`simulate.diag_norm_moment`) wherever a closed form exists, and come
+from a Monte Carlo pass otherwise.  Each variable is one thread-pool task
+drawing its supremum samples, and any mean pass, from two child keys of the
+ensemble's seed; each task folds its samples into the running supremum
+itself.  ``np.maximum`` and ``max`` are exact, so
 the fold order, and with it the number of threads, cannot change the report.
 """
 
@@ -28,12 +29,12 @@ import numpy as np
 
 from .orlicz import as_weights, luxemburg_norm, theta
 from .simulate import (
-    NORM_MC_SAMPLES, EnsembleSpec, GaussianVarSpec, RngSeed, mean_ci, mean_norm_mc, sampled_norms,
-    worker_count,
+    NORM_MC_SAMPLES, EnsembleSpec, GaussianVarSpec, RngSeed, diag_norm_moment, mean_ci, mean_norm_mc,
+    sampled_norms, worker_count,
 )
 # ``space_norm`` is not called here; it stays because the benchmark tracer
 # (perfbench/spans.py) patches ``maxima.space_norm``.
-from .spaces import diag_weak_variance, scalar_weight, space_norm  # noqa: F401
+from .spaces import diag_weak_variance, space_norm  # noqa: F401
 
 __all__ = [
     "EstimateReport",
@@ -109,13 +110,13 @@ def variable_mean(spec: GaussianVarSpec, seed: RngSeed | None = None,
                   samples: int = NORM_MC_SAMPLES) -> float:
     """E|xi| for one diagonal Gaussian vector.
 
-    Analytic ``sigma sqrt(2/pi)`` when at most one weight is nonzero (the
-    norm is then that weight times a folded standard normal); Monte Carlo
-    with the supplied seed otherwise.
+    Exact where :func:`simulate.diag_norm_moment` has a closed form (at most
+    one nonzero weight, and the ``l^1``, ``l^2`` and ``l^inf`` norms); a
+    Monte Carlo mean of ``samples`` draws from the supplied seed otherwise.
     """
-    scale = scalar_weight(spec.padded_sigma())
-    if scale is not None:
-        return scale * math.sqrt(2.0 / math.pi)
+    exact = diag_norm_moment(spec.space, spec.sigma, 1.0)
+    if exact is not None:
+        return exact
     if seed is None:
         raise ValueError("a seed is required for the Monte Carlo mean of a vector variable")
     return mean_norm_mc(spec, seed, samples)
@@ -129,9 +130,9 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
     mean.  Both folds are exact, so the report does not depend on the order
     in which tasks finish; at most ``worker_count()`` norm vectors, one per
     running task, are alive at once.  Variable ``i`` draws its norms from
-    ``seed.child(i, 0)`` and its mean pass from ``seed.child(i, 1)``, so no
-    two draws share randomness.  Weak variances come from the diagonal
-    closed form.
+    ``seed.child(i, 0)`` and, where its mean has no closed form, its mean
+    pass from ``seed.child(i, 1)``, so no two draws share randomness.  Weak
+    variances come from the diagonal closed form.
     """
     if samples < 100:
         raise ValueError("at least 100 samples are required")

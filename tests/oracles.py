@@ -144,5 +144,74 @@ def expected_max_abs_gaussians(k):
     return quad(lambda t: 1.0 - (2.0 * norm.cdf(t) - 1.0) ** k, 0.0, np.inf)[0]
 
 
+def _abs_normal_moment(k):
+    """E|N(0,1)|^k from double factorials: (k-1)!! for even k, sqrt(2/pi) 2^m m! for k = 2m + 1."""
+    if k % 2 == 0:
+        return float(math.prod(range(k - 1, 0, -2)))
+    m = (k - 1) // 2
+    return math.sqrt(2.0 / math.pi) * 2.0**m * math.factorial(m)
+
+
+def _multinomial_sum(weights, power, term_moment):
+    """E (sum_n X_n)^power over every composition of ``power``, with E X_n^j = term_moment(n, j)."""
+    total = 0.0
+
+    def expand(n, left, coef):
+        nonlocal total
+        if n == len(weights) - 1:
+            total += coef * term_moment(n, left)
+            return
+        for j in range(left + 1):
+            expand(n + 1, left - j, coef * math.comb(left, j) * term_moment(n, j))
+
+    expand(0, power, 1.0)
+    return total
+
+
+def l1_gaussian_moment(sigma, p):
+    """(E (sum_n sigma_n |g_n|)^p)^(1/p) for integer p by the multinomial expansion."""
+    w = [float(s) for s in sigma]
+    return _multinomial_sum(w, p, lambda n, j: w[n] ** j * _abs_normal_moment(j)) ** (1.0 / p)
+
+
+def l2_gaussian_moment(sigma, p):
+    """(E (sum_n sigma_n^2 g_n^2)^(p/2))^(1/p).
+
+    Even p: the multinomial expansion over the moments ``(2j-1)!! sigma^(2j)``
+    of ``sigma^2 g^2``.  p = 1: quadrature of
+    ``(2 sqrt(pi))^-1 int (1 - prod_n (1 + 2 t sigma_n^2)^(-1/2)) t^(-3/2) dt``
+    in ``u = log t``, split at the centre ``-log(sum sigma^2)``.
+    """
+    w = [float(s) for s in sigma]
+    if p == 1:
+        sq = np.asarray(w) ** 2
+        centre = -math.log(sq.sum())
+
+        def f(u):
+            return -np.expm1(-0.5 * np.log1p(2.0 * np.exp(u) * sq).sum()) * np.exp(-0.5 * u)
+
+        parts = ((centre - 100.0, centre), (centre, centre + 100.0))
+        total = sum(quad(f, a, b, limit=500, epsabs=0.0, epsrel=1e-13)[0] for a, b in parts)
+        return total / (2.0 * math.sqrt(math.pi))
+    return _multinomial_sum(w, p // 2, lambda n, j: w[n] ** (2 * j) * _abs_normal_moment(2 * j)) ** (1.0 / p)
+
+
+def linf_gaussian_moment(sigma, p):
+    """(E max_n |sigma_n g_n|^p)^(1/p) by quadrature of ``p t^(p-1) P(max > t)``.
+
+    ``P(max > t) = 1 - prod_n (1 - 2 sf(t / sigma_n))``, taken as
+    ``-expm1(sum log1p(-2 sf))`` so the tail keeps its relative accuracy.
+    """
+    w = np.asarray([s for s in sigma if s > 0], dtype=float)
+
+    def f(t):
+        return p * t ** (p - 1.0) * -np.expm1(np.log1p(-2.0 * norm.sf(t / w)).sum())
+
+    top = float(w.max())
+    cuts = [0.0] + [top * (math.sqrt(p) + d) for d in (0.0, 4.0, 12.0, 40.0)]
+    total = sum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(cuts, cuts[1:]))
+    return total ** (1.0 / p)
+
+
 MEDIAN_ABS_NORMAL = float(norm.ppf(0.75))  # median of |N(0,1)|
 MEAN_ABS_NORMAL = float(np.sqrt(2.0 / np.pi))

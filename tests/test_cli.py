@@ -199,6 +199,17 @@ def test_experiment_rejects_an_empty_p_list(tmp_path, capsys, monkeypatch, exper
     assert f"p.list is empty: {experiment} needs at least one exponent" in err
 
 
+@pytest.mark.parametrize("q", ["0.5", "-1"])
+def test_divergence_rejects_q_below_one(tmp_path, capsys, monkeypatch, q):
+    # q < 1 gives no l^q seminorm; it used to print "all verdicts pass" and exit 0
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"q = {q}\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, "divergence", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "q must lie in [1, inf]" in err
+
+
 @pytest.mark.parametrize("depth, scales", [(12, ["n=4", "n=5", "n=6"]), (8, ["n=1", "n=2"]), (7, ["n=1"])])
 def test_bm_limit_default_scales_are_the_three_highest_trusted(capsys, depth, scales):
     code, out, _ = run_cli(capsys, "bm-limit", "--depth", str(depth), "--paths", "20", "--seed", "5")

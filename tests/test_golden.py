@@ -29,14 +29,14 @@ DIGESTS = {
     ("bm-limit", 3): "02e1c0e3a7785fec52b8c40d94a0d23641994f1850474f627079d3956e0e7dcd",
     ("divergence", 3): "9e175342cc2e31b8cba8c58067cea4ff92ea7f5578a68537e789f51890376c28",
     ("increment-variance", 3): "36c2e154681823c5f937c7a968bf48d5ff35da6e045b29b1af450e6158f09562",
-    ("maximal", 3): "42b0d5515e355b447362d989b5283b70ab561ba9af3adf5bc57dfaae77d34b84",
-    ("moments", 3): "e1f506142ca947997a1237390f07d2dfe86d7987beaedad383e64953dd94b848",
+    ("maximal", 3): "cde65c61f9557329f541f3786dddb4506d69014790b54a4702461432988e6603",
+    ("moments", 3): "9bb27910095aef3f460ad3845e36e05b273f303e5dbf72507408beb389cc23e4",
     ("tau", 3): "cf56e34016c54e6a3e10bd77a36b0d7577b5c334595cc8ce7f7b0a77dbf292c8",
     ("bm-limit", 20260808): "3046e40947fe7e9f4773ae12e36767422abe08e8b1412d4e4a774769c77a9a1a",
     ("divergence", 20260808): "55dcb1f39ffb4d31a5f9afd2bc71355604651d13a849a271849467a73913430e",
     ("increment-variance", 20260808): "36c2e154681823c5f937c7a968bf48d5ff35da6e045b29b1af450e6158f09562",
-    ("maximal", 20260808): "7517fe36f5955f943d4fe56b5a29fa198ad8125415b5895a25fe670e2feaf11a",
-    ("moments", 20260808): "70657b87beb06f2018d137fbfffa521c58aae19870729a310d988cf94823272c",
+    ("maximal", 20260808): "29e12a15533edd748971a5deeaf4bb79546fdcd89d59a66402740bad573f7c4c",
+    ("moments", 20260808): "011cb673382eaac7708d46a7307e62e1c5c23d8cf3584851cfd880b199de06a1",
     ("tau", 20260808): "9986a53ea057b3a406e9c04d1160c73cb8fc5413626b8fa9bcc2bd9fc9edcc6f",
 }
 
@@ -45,8 +45,8 @@ JSON_DIGESTS = {
     "bm-limit": "fbf9705417e4096235b1279713f3cafddb807808c371eb1e3869fe49d49916d8",
     "divergence": "d79a8438f7a14c9b1799e1c2c95ba221df3167e447d76ff4d86d0b3a45f8f820",
     "increment-variance": "a465bd4cd6ef5c0e43327a18a1c7698d764b669f1302f4a75499e5da8646fdc1",
-    "maximal": "2ac576131cfd07f4b1804db619c7d7586d8f7173dd9af00c15b1fec9bbf7d744",
-    "moments": "c87af8e20a2d0c6adb78d9d404a4cbd3c30a022ebf4b0de2ef50a7b5abe4e1e3",
+    "maximal": "f6816e6bbc6b68f9e53d9f16e51bdf55f37379443f9497bf3596daf9bb7b36e0",
+    "moments": "7915d58f7a5ed6607886b67a7bb77a6d42a95a102d102044b940e23d358af6d9",
     "tau": "ccb519281f9bfaae06eef3f26f6374de118238e283cf0c5f6985b2296e7b0683",
 }
 

@@ -11,8 +11,9 @@ import pytest
 
 from besovbm import besov, harness, maxima
 from besovbm.besov import BesovParams
-from besovbm.simulate import NORM_MC_SAMPLES, PathSample, RngSeed, sample_bm
-from besovbm.spaces import finite_lq, space_norm, truncated_lp
+from besovbm.orlicz import luxemburg_norm, theta
+from besovbm.simulate import NORM_MC_SAMPLES, PathSample, RngSeed, diag_norm_moment, sample_bm
+from besovbm.spaces import diag_weak_variance, finite_lq, space_norm, truncated_lp
 
 
 def small(experiment, **overrides):
@@ -469,15 +470,36 @@ def test_svg_output_is_deterministic(tmp_path):
 # --- reference moments and the per-path pool -------------------------------------
 
 
-@pytest.mark.parametrize("space", [truncated_lp(2.0, 3), truncated_lp(1.0, 16), truncated_lp(math.inf, 17)])
+def _one_shot_moments(space, sigma, seed, p_values):
+    """The Monte Carlo moments from the whole 1e5 x dim batch in one draw."""
+    g = seed.generator().standard_normal((NORM_MC_SAMPLES, space.dim))
+    norms = space_norm(space, g * np.asarray(sigma))
+    return {p: float(np.mean(norms**p) ** (1.0 / p)) for p in p_values}
+
+
+# exponents without a closed-form moment, so every reference is drawn
+@pytest.mark.parametrize("space", [truncated_lp(3.0, 3), truncated_lp(1.5, 16), truncated_lp(4.0, 17)])
 def test_reference_moments_match_one_shot_draw(space):
     sigma = tuple(0.7 ** np.arange(space.dim))
     seed = RngSeed(3, 500_001)
-    # reference: the whole 1e5 x dim batch in one draw
-    g = seed.generator().standard_normal((NORM_MC_SAMPLES, space.dim))
-    norms = space_norm(space, g * np.asarray(sigma))
-    want = {p: float(np.mean(norms**p) ** (1.0 / p)) for p in (1.0, 2.0, 4.0, 8.0)}
+    want = _one_shot_moments(space, sigma, seed, (1.0, 2.0, 4.0, 8.0))
     assert harness._reference_moments(space, sigma, (1, 2, 4, 8), seed) == want
+
+
+def test_reference_moments_draw_only_the_missing_exponents(monkeypatch):
+    space, sigma, seed = truncated_lp(2.0, 3), (1.0, 0.7, 0.49), RngSeed(3, 500_002)
+    # l^2 has no closed form at odd p > 1: only p = 3 comes from the draw
+    refs = harness._reference_moments(space, sigma, (1, 2, 3, 4), seed)
+    assert list(refs) == [1.0, 2.0, 3.0, 4.0]
+    assert refs[3.0] == _one_shot_moments(space, sigma, seed, (3.0,))[3.0]
+    for p in (1.0, 2.0, 4.0):
+        assert refs[p] == diag_norm_moment(space, sigma, p)
+
+    def no_draws(*args):
+        raise AssertionError("an exact reference drew samples")
+
+    monkeypatch.setattr(harness, "sampled_norms", no_draws)
+    assert harness._reference_moments(space, sigma, (1, 2, 4), seed) == {p: refs[p] for p in (1.0, 2.0, 4.0)}
 
 
 def _bounded(fn, seconds=120.0):
@@ -530,7 +552,7 @@ def test_moments_path_task_error_reaches_caller(monkeypatch):
         _bounded(lambda: harness.run(small("moments", paths=4, depth=12)))
 
 
-# c04 scalar, c06 l^1, c08 l^2 and c09 l^inf: 40 Monte Carlo mean passes
+# c04 scalar, c06 l^1, c08 l^2 and c09 l^inf: every mean exact
 SMALL_ENSEMBLES = tuple(harness.default_ensembles()[k] for k in (3, 5, 7, 8))
 
 
@@ -560,12 +582,23 @@ def test_maximal_keys_never_repeat(monkeypatch):
 
     monkeypatch.setattr(maxima, "sampled_norms", norms)
     monkeypatch.setattr(maxima, "mean_norm_mc", mean)
-    space = truncated_lp(2.0, 2)
+    space = truncated_lp(3.0, 2)  # no closed-form mean: every variable draws a mean pass
     ensembles = (harness.EnsembleConfig("many", space, (1.0, 0.5), 1000),
                  harness.EnsembleConfig("next", space, (1.0, 0.5), 3))
     harness.run_maximal_experiment(small("maximal", mc_samples=100, ensembles=ensembles))
     assert len(keys) == 2 * 1003
     assert len(set(keys)) == len(keys)
+
+
+def test_maximal_lower_bounds_are_exact():
+    # every default ensemble has a closed-form mean, so no row's lower bound carries Monte Carlo noise
+    result = harness.run(harness.default_config("maximal", 3))
+    for econf, row in zip(harness.default_ensembles(), result.rows):
+        variables = econf.build().variables
+        m = max(diag_norm_moment(var.space, var.sigma, 1) for var in variables)
+        sigmas = [diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables]
+        assert row.lower == max(m, luxemburg_norm(theta(), sigmas) / 3.0), row.params
+        assert row.lower - row.ci <= row.estimate <= row.reference + row.ci, row.params
 
 
 def test_maximal_json_recomputes_verdicts(tmp_path):
@@ -583,17 +616,17 @@ def test_maximal_json_recomputes_verdicts(tmp_path):
 
 
 def test_maximal_mean_pass_error_reaches_caller(monkeypatch):
-    real = maxima.mean_norm_mc
+    # l^3 has no closed-form mean, so its variables run the Monte Carlo mean pass
+    l3 = harness.EnsembleConfig("l3-geo-8", truncated_lp(3.0, 4), (1.0, 0.7, 0.5, 0.3), 8)
 
     def failing(spec, seed, samples):
-        if math.isinf(spec.space.exponent):
-            raise RuntimeError("injected mean pass failure")
-        return real(spec, seed, samples)
+        raise RuntimeError("injected mean pass failure")
 
     monkeypatch.setattr(maxima, "mean_norm_mc", failing)
     monkeypatch.setattr(maxima, "worker_count", lambda: 3)
+    ensembles = SMALL_ENSEMBLES + (l3,)
     with pytest.raises(RuntimeError, match="injected mean pass failure"):
-        _bounded(lambda: harness.run(small("maximal", mc_samples=2_000, ensembles=SMALL_ENSEMBLES)))
+        _bounded(lambda: harness.run(small("maximal", mc_samples=2_000, ensembles=ensembles)))
 
 
 # --- the per-path driver ----------------------------------------------------------

@@ -64,9 +64,12 @@ def test_variable_mean_scalar_analytic():
 
 
 def test_variable_mean_vector_needs_seed():
-    spec = GaussianVarSpec(finite_lq(2, 2.0), (1.0, 1.0))
+    # l^3 has no closed-form mean; l^2 has one and needs no seed
     with pytest.raises(ValueError):
-        maxima.variable_mean(spec)
+        maxima.variable_mean(GaussianVarSpec(finite_lq(2, 3.0), (1.0, 1.0)))
+    assert maxima.variable_mean(GaussianVarSpec(finite_lq(2, 2.0), (1.0, 1.0))) == pytest.approx(
+        math.sqrt(math.pi / 2.0), rel=1e-13
+    )
 
 
 def test_empirical_sup_single_scalar():

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from besovbm import harness
 from besovbm.simulate import (
     EnsembleSpec,
     GaussianVarSpec,
     RngSeed,
+    diag_norm_moment,
     gaussian_abs_moment,
     mean_norm_mc,
     sample_bm,
 )
 from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
 
-from tests.oracles import MEAN_ABS_NORMAL, expected_max_abs_gaussians
+from tests.oracles import (
+    MEAN_ABS_NORMAL,
+    expected_max_abs_gaussians,
+    l1_gaussian_moment,
+    l2_gaussian_moment,
+    linf_gaussian_moment,
+)
 
 SCALAR = finite_lq(1, 2.0)
 
@@ -163,3 +171,84 @@ def test_sample_bm_matches_draw_then_cumsum(dim):
     values = np.zeros(((1 << depth) + 1, dim))
     np.cumsum(g, axis=0, out=values[1:])
     assert np.array_equal(sample_bm(space, sigma, depth, seed).values, values)
+
+
+# --- exact moments of diagonal Gaussian norms -----------------------------------
+
+PROFILES = {
+    "geometric": tuple(0.7 ** np.arange(6)),
+    "constant": (0.5, 0.5, 0.5, 0.5),
+    "spike": (1.5, 0.1, 0.1),
+}
+ORACLES = {1.0: l1_gaussian_moment, 2.0: l2_gaussian_moment, math.inf: linf_gaussian_moment}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("exponent", sorted(ORACLES), ids=lambda q: f"l{q:g}")
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_diag_norm_moment_matches_oracle(profile, exponent, p):
+    sigma = PROFILES[profile]
+    got = diag_norm_moment(truncated_lp(exponent, len(sigma)), sigma, p)
+    assert got == pytest.approx(ORACLES[exponent](sigma, p), rel=1e-10)
+
+
+@pytest.mark.parametrize("exponent", sorted(ORACLES), ids=lambda q: f"l{q:g}")
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_diag_norm_moment_is_homogeneous(exponent, p):
+    sigma = np.array(PROFILES["geometric"])
+    space = truncated_lp(exponent, sigma.size)
+    unit = diag_norm_moment(space, sigma, p)
+    for c in (1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e300):
+        assert diag_norm_moment(space, c * sigma, p) == pytest.approx(c * unit, rel=1e-13), c
+
+
+@pytest.mark.parametrize("exponent", sorted(ORACLES), ids=lambda q: f"l{q:g}")
+def test_diag_norm_moment_finite_and_increasing_in_p(exponent):
+    # Lyapunov: p -> (E|X|^p)^(1/p) is nondecreasing; the log-space sums keep p = 256 finite
+    sigma = PROFILES["geometric"]
+    space = truncated_lp(exponent, len(sigma))
+    values = [diag_norm_moment(space, sigma, p) for p in (2, 4, 16, 64, 256)]
+    assert all(math.isfinite(v) for v in values)
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_diag_norm_moment_scalar_case_is_the_folded_normal():
+    for space, sigma in ((finite_lq(1, 2.0), (1.5,)), (truncated_lp(3.0, 4), (0.0, 1.5, 0.0, 0.0))):
+        for p in (1.0, 1.5, 3.0):
+            assert diag_norm_moment(space, sigma, p) == 1.5 * gaussian_abs_moment(p)
+    assert diag_norm_moment(truncated_lp(2.0, 3), (0.0, 0.0, 0.0), 2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "space, p",
+    [(truncated_lp(2.0, 3), 3), (truncated_lp(2.0, 3), 5), (truncated_lp(2.0, 3), 1.5),
+     (truncated_lp(1.0, 3), 2.5), (truncated_lp(3.0, 3), 1), (truncated_lp(3.0, 3), 2)],
+)
+def test_diag_norm_moment_none_without_closed_form(space, p):
+    assert diag_norm_moment(space, (1.0, 0.5, 0.25), p) is None
+
+
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_diag_norm_moment_rejects_p_outside_one_to_inf(p):
+    # p = inf used to give a reference of 1 (l^inf Monte Carlo) or nan (one weight)
+    for sigma in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            diag_norm_moment(truncated_lp(math.inf, 2), sigma, p)
+
+
+def test_diag_norm_moment_default_ensemble_means():
+    # E|xi| of the first variable of the default vector ensembles c05-c10
+    # (scipy.integrate.quad agrees to 6e-13 relative)
+    want = {
+        "c05-l2-const-32": 1.298043978963,
+        "c06-l1-const-16": 1.595769121606,
+        "c07-linf-geo-64": 1.350413822551,
+        "c08-l2-spike-16": 1.206399797283,
+        "c09-linf-pair-8": 2.0 / math.sqrt(math.pi),
+        "c10-l1-geo-100": 1.961207910145,
+    }
+    got = {}
+    for econf in harness.default_ensembles()[4:]:
+        var = econf.build().variables[0]
+        got[econf.config_id] = diag_norm_moment(var.space, var.sigma, 1)
+    assert got == pytest.approx(want, abs=1e-12)
