@@ -343,7 +343,8 @@ def luxemburg_function_norm(path: PathSample, beta: float) -> float:
 
     ``inf{delta > 0 : 2^-N sum_k PhiBeta(|values_k| / delta) <= 1}`` with the
     left-endpoint sum over [0, 1), found by :func:`orlicz.luxemburg_scale`
-    (Illinois locate, then the replayed bisection); ``beta`` must be at least 1.
+    (a located unit level, then the replayed bracket and bisection; an
+    infinite value gives ``inf``, a NaN gives NaN); ``beta`` must be at least 1.
     """
     phi = orlicz.phi_beta(beta)
     # unfiltered: dropping the zero norms would change np.sum's pairwise order

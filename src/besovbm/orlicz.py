@@ -15,12 +15,12 @@ Two norms are computed for a Young function ``Phi`` and a sequence ``a``:
   minimiser ``k = 1/d`` has ``d`` the Luxemburg norm of ``a`` under
   ``psi(x) = x Phi'(x) - Phi(x)``.
 
-Both are found by the one search of :func:`luxemburg_scale`: a bracket,
-an Illinois false-position search that locates the unit level, and a replay
-of the bisection of the bracket that evaluates only the midpoints the located
-interval leaves undecided.  It returns the bisection's float, and its relative
-stop makes both norms homogeneous at every scale.  The two are equivalent
-within a factor two: ``rho <= |.|_Phi <= 2 rho``.
+Both are found by the one search of :func:`luxemburg_scale`: a locate of
+the unit level by secant bracketing and Chandrupatla's method in ``log delta``,
+then a replay of the geometric bracket and its bisection that evaluates only
+the points the located interval leaves undecided.  It returns the bisection's
+float, and its relative stop makes both norms homogeneous at every scale.
+The two are equivalent within a factor two: ``rho <= |.|_Phi <= 2 rho``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _theta_family(x, of_square):
     Accepts scalars or arrays, rejects negative input.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("Theta requires nonnegative input")
     with np.errstate(divide="ignore"):
         out = of_square(arr * arr)
@@ -149,63 +149,102 @@ def luxemburg_scale(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray, weight
     past ``1 / weight``, and ``w`` a 1-D array of nonnegative weights.  The
     weights are scaled by the power of two that brings their peak into
     ``[1/2, 1)``, which is exact and undone at the end, so subnormal weights
-    get a nonzero bracket too.  The bracket starts at a tenth of the peak and
-    is grown/shrunk geometrically.  The result is the float that bisecting the
-    bracket to the relative width 1e-13 gives.  An Illinois false-position
-    search first narrows the unit level to ``(a, b)`` of relative width
-    1e-14, with the excess known positive at ``a`` and nonpositive at ``b``;
-    the bisection is then replayed and evaluates only the midpoints strictly
-    inside ``(a, b)``.  The excess does not increase as ``delta`` grows, so
-    every other midpoint takes the side an evaluation would give it, and the
-    replay returns the bisection's float in about half its evaluations.
-    Returns 0 for zero weights, or a sum that never exceeds 1 (level set ``(0, inf)``).
+    get a nonzero bracket too.  The result is the float that bisecting a
+    bracket to the relative width 1e-13 gives, the bracket starting at a tenth
+    of the peak and grown/shrunk geometrically.  A locate runs first: secant
+    steps in ``u = log delta`` away from a tenth of the peak bracket the unit
+    level of ``g(u) = log(weight * sum_n f(w_n e^-u))``, and Chandrupatla's
+    method (inverse quadratic interpolation, else bisection in ``u``) narrows
+    it to ``(a, b)`` of relative width 1e-14, with ``g`` known positive at
+    ``a`` and nonpositive at ``b``.  The bracket loops and the bisection are
+    then replayed and evaluate only the points strictly inside ``(a, b)``.
+    ``g`` has the sign of the excess ``weight * sum - 1`` and does not
+    increase as ``delta`` grows, so every other point takes the side an
+    evaluation would give it, and the replay returns the bisection's float
+    in about a fifth of its evaluations.  Returns 0 for zero weights, or a
+    sum that never exceeds 1 (level set ``(0, inf)``), and ``inf`` or NaN for
+    an infinite or NaN peak weight.
     """
     top = float(np.max(w, initial=0.0))
     if top == 0.0:
         return 0.0
+    if not math.isfinite(top):
+        return top
     e = math.frexp(top)[1]
     w = np.ldexp(w, -e)
 
-    def excess(delta: float) -> float:
-        return weight * float(np.sum(f(w / delta))) - 1.0
+    def log_level(delta: float) -> float:
+        level = weight * float(f(w / delta).sum())
+        if 0.0 < level < math.inf:
+            return math.log(level)
+        return math.inf if level > 0.0 else -math.inf
 
     with np.errstate(over="ignore"):
-        lo = math.ldexp(top, -e) / 10.0
-        shrink = 0
-        while (fa := excess(lo)) <= 0.0:
+        # Bracket: from x0 and its neighbour, secant steps in u, one to four
+        # times the last (twice where g is infinite), up to the last delta
+        # the replayed loops would test.
+        x0 = math.ldexp(top, -e) / 10.0
+        gp = log_level(x0)
+        up = gp > 0.0
+        end, ratio = (math.ldexp(x0, 201), 2.0) if up else (math.ldexp(x0, -200), 0.5)
+        xp, x = x0, x0 * ratio
+        gx = log_level(x)
+        while (gx > 0.0) == up and x != end:
+            k = gx / (gp - gx) if math.isfinite(gp) and math.isfinite(gx) and gp != gx else 2.0
+            ratio **= min(max(k, 1.0), 4.0)
+            xp, gp = x, gx
+            x = min(x * ratio, end) if up else max(x * ratio, end)
+            gx = log_level(x)
+        if (gx > 0.0) == up:  # the level stays on one side of 1 up to the end
+            a, b = (x, math.inf) if up else (0.0, x)
+        else:
+            # Chandrupatla (Adv. Eng. Software 28, 1997): the newest end n, the other
+            # end o, and c, the value n's side held before n; gc NaN makes the
+            # first step a secant
+            n, gn, o, go, c, gc = x, gx, xp, gp, xp, math.nan
+            for _ in range(64):  # about 8 steps; the replay evaluates whatever a cut-off leaves inside (a, b)
+                if abs(o - n) <= 1e-14 * max(o, n):
+                    break
+                s = math.log(o / n)  # u(o) - u(n)
+                t = 0.5  # bisection in u, where g is infinite or the interpolation unsafe
+                if math.isfinite(gn) and math.isfinite(go):
+                    if not math.isfinite(gc):
+                        t = gn / (gn - go)
+                    else:
+                        uc = math.log(c / n)
+                        xi, phi = s / (s - uc), (gn - go) / (gc - go)
+                        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                            t = gn / (go - gn) * gc / (go - gc) + uc / s * gn / (gc - gn) * go / (gc - go)
+                # at least 4e-15 in u from either end: once n has converged,
+                # the next point lands past the unit level and closes (a, b)
+                tl = 4e-15 / abs(s)
+                x = n * math.exp(min(max(t, tl), 1.0 - tl) * s)
+                gx = log_level(x)
+                if (gx > 0.0) == (gn > 0.0):
+                    c, gc = n, gn
+                else:
+                    c, gc, o, go = o, go, n, gn
+                n, gn = x, gx
+            a, b = (n, o) if gn > 0.0 else (o, n)
+
+        def above(delta: float) -> bool:
+            return delta <= a or (delta < b and log_level(delta) > 0.0)
+
+        lo, shrink = x0, 0
+        while not above(lo):
             lo *= 0.5
             shrink += 1
             if shrink > 200:
                 return 0.0
-        a, hi = lo, 2.0 * lo
-        grow = 0
-        while (fb := excess(hi)) > 0.0:
-            a, fa = hi, fb
+        hi, grow = 2.0 * lo, 0
+        while above(hi):
             hi *= 2.0
             grow += 1
             if grow > 200:
                 raise ArithmeticError("modular does not drop below the unit level")
-        b, moved = hi, 0  # +1 after a step that moved a, -1 after one that moved b
-        while b - a > 1e-14 * b:
-            x = 0.5 * (a + b)  # the fallback while fa overflows or a step leaves (a, b)
-            if math.isfinite(fa):
-                step = a + (b - a) * (fa / (fa - fb))
-                if a < step < b:
-                    x = step
-            fx = excess(x)
-            if fx > 0.0:
-                a, fa = x, fx
-                if moved > 0:
-                    fb *= 0.5
-                moved = 1
-            else:
-                b, fb = x, fx
-                if moved < 0:
-                    fa *= 0.5
-                moved = -1
         for _ in range(120):  # scaled weights stop within about 45 halvings; the cap only bounds the loop
             mid = 0.5 * (lo + hi)
-            if mid <= a or (mid < b and excess(mid) > 0.0):
+            if above(mid):
                 lo = mid
             else:
                 hi = mid

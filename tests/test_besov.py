@@ -228,6 +228,18 @@ def test_luxemburg_function_norm_is_that_of_the_plain_bisection_bitwise(beta, mo
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_luxemburg_function_norm_of_a_nonfinite_path(value):
+    # an infinite value gives an infinite norm and a NaN a NaN, with no warning
+    for space in (SCALAR, finite_lq(3, 2.0)):
+        path = constant_path(0.5, depth=6, space=space)
+        path.values[5, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = besov.luxemburg_function_norm(path, 2.0)
+        assert got == math.inf if value == math.inf else math.isnan(got)
+
+
 def test_exp_orlicz_below_luxemburg_on_bm():
     for i in range(100):
         path = bm_path(1 + i)

@@ -338,18 +338,35 @@ def test_experiment_rejects_zero_paths(capsys, argv):
     assert "error: at least one path is required" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # The library runs on numpy alone: scipy.special by itself cost about
-    # half of a run's start-up time and 18 MB of resident memory.  A
-    # subprocess, because tests/oracles.py imports scipy.stats and
-    # scipy.integrate.
+def scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter.
+
+    A subprocess, because tests/oracles.py imports scipy.stats and
+    scipy.integrate.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, besovbm.cli\n"
-        "print(' '.join(m for m in sorted(sys.modules) if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
+    code += "\nimport sys\nprint(' '.join(m for m in sorted(sys.modules) if m == 'scipy' or m.startswith('scipy.')))\n"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # The library runs on numpy alone: scipy.special by itself cost about
+    # half of a run's start-up time and 18 MB of resident memory.
+    assert scipy_modules_after("import besovbm.cli") == []
+
+
+def test_norm_solves_leave_scipy_unloaded():
+    # a function-local scipy import passes the import check above
+    code = (
+        "from besovbm import besov, orlicz\n"
+        "from besovbm.simulate import RngSeed, sample_bm\n"
+        "from besovbm.spaces import finite_lq\n"
+        "orlicz.luxemburg_norm(orlicz.theta(), [1.0, 0.5, 0.25])\n"
+        "orlicz.orlicz_norm(orlicz.phi_beta(2.0), [1.0, 0.5, 0.25])\n"
+        "besov.luxemburg_function_norm(sample_bm(finite_lq(1, 2.0), (1.0,), 8, RngSeed(1, 0)), 2.0)\n"
+    )
+    assert scipy_modules_after(code) == []

@@ -238,10 +238,12 @@ def test_norms_are_those_of_the_plain_bisection_bitwise(name, monkeypatch):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
-def test_solves_average_at_most_25_level_evaluations(phi):
+@pytest.mark.parametrize("name", LEVEL_FUNCTIONS)
+def test_solves_average_at_most_15_level_evaluations(name):
     # the plain bisection takes about 50 per solve on these sequences
+    phi = LEVEL_FUNCTIONS[name]
     seqs = random_sequences(200, seed=20260808)
+    seqs += [s * w for s in (1e-12, 1e12) for w in seqs]
     for norm, kind in ((orlicz.luxemburg_norm, "evaluate"), (orlicz.orlicz_norm, "psi")):
         calls, level = [], getattr(phi, kind)
 
@@ -251,7 +253,31 @@ def test_solves_average_at_most_25_level_evaluations(phi):
 
         for w in seqs:
             norm(dataclasses.replace(phi, **{kind: counted}), w)
-        assert len(calls) <= 25 * len(seqs), kind
+        assert len(calls) <= 15 * len(seqs), kind
+
+
+EDGE_LEVELS = {
+    # weighted sum at most 1/2 at every delta: both return 0
+    "never-above-one": (lambda x: np.tanh(x) / x.size, 0.5),
+    # sum at least 2 at every delta: both raise
+    "never-down-to-one": (lambda x: 2.0 + x, 1.0),
+    # unit level at 1e-3 |w|_2, below a tenth of the peak: the shrink loop runs
+    "root-below-a-tenth": (np.square, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_LEVELS)
+def test_edge_outcomes_of_the_replayed_bracket_are_the_plain_bisections(case):
+    f, weight = EDGE_LEVELS[case]
+    for w in random_sequences(20, seed=11):
+        if case == "never-down-to-one":
+            for solve in (luxemburg_scale_bisect, orlicz.luxemburg_scale):
+                with pytest.raises(ArithmeticError):
+                    solve(f, w, weight)
+            continue
+        got, want = orlicz.luxemburg_scale(f, w, weight), luxemburg_scale_bisect(f, w, weight)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got == 0.0 if case == "never-above-one" else 0.0 < got < np.max(w) / 10.0
 
 
 @pytest.mark.parametrize("phi", [THETA, PHI2], ids=["theta", "phi2"])
