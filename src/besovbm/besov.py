@@ -17,15 +17,17 @@ whole-array call, so the blocking never changes a result.
 
 Both exponential Orlicz sups run through :func:`integer_p_besov_totals` (the
 L^p one as its case with no smoothness scales), which stops the integer-p
-sweep early.  The grid weight times the number of grid points is at most 1,
-so each L^p term is at most its norm vector's peak: ``||f||_{L^p(w)} <=
-max|f|``.  Every total is then at most ``B = max|W| + max_n 2^(n alpha)
-max|Delta_n|`` (just ``max|W|`` with no scales), and every weighted term
-past p is at most ``(p+1)^(-1/beta) B``.  Each vector's running powers stop
-at ``POWER_CAP`` (or the largest reported p, if larger); where
-``(POWER_CAP+1)^(-1/beta) B (1 + BOUND_SLACK)`` is at most the sup so far,
-that sup is the answer, and otherwise the full sweep is redone.  The result
-is bit-identical to the full sweep followed by :func:`p_weighted_sup`.
+sweep early.  Each norm vector's running powers stop at ``c = POWER_CAP``
+(or the largest reported p, if larger), and the vector keeps two numbers:
+its ``||f||_c`` and its peak ``M``.  Since ``w sum f^p <= M^(p-c) w sum
+f^c``, Lyapunov's interpolation inequality ``||f||_p <= ||f||_c^(c/p)
+M^(1-c/p)`` bounds every later L^p term, for any grid weight.  Every later
+total is then at most that bound for ``W`` plus the largest ``2^(n alpha)``
+times that bound for ``Delta_n`` (just the first with no scales).  Where
+``p^(-1/beta)`` times this, with a relative slack of ``BOUND_SLACK``, is at
+most the sup so far for every p past c, that sup is the answer, and
+otherwise the full sweep is redone.  The result is bit-identical to the
+full sweep followed by :func:`p_weighted_sup`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "POWER_CAP",
     "default_n_max",
     "check_q",
+    "check_beta",
     "BesovParams",
     "NormReport",
     "lp_norm_path",
@@ -62,8 +65,9 @@ __all__ = [
 SCALE_MARGIN = 6
 DEFAULT_P_MAX = 64
 # Running powers per norm vector before the early-exit bound is checked, and
-# the relative slack that covers rounding in that bound.
-POWER_CAP = 32
+# the relative slack that covers rounding in that bound: each computed L^p
+# term and bound is off by about (p_max + log2 n) 2^-53, far below 1e-9.
+POWER_CAP = 8
 BOUND_SLACK = 1e-9
 
 
@@ -233,9 +237,14 @@ def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarr
     return _lp_prefix(norms, weight, p_max, p_max)[0]
 
 
-def _p_weights(count: int, beta: float) -> np.ndarray:
-    if beta <= 0:
+def check_beta(beta: float) -> None:
+    """Reject a p-weight exponent ``beta`` that is not positive, NaN included."""
+    if not beta > 0:
         raise ValueError("beta must be positive")
+
+
+def _p_weights(count: int, beta: float) -> np.ndarray:
+    check_beta(beta)
     return np.arange(1, count + 1) ** (-1.0 / beta)
 
 
@@ -245,21 +254,16 @@ def p_weighted_sup(values, beta: float):
     return np.max(_p_weights(values.shape[-1], beta) * values, axis=-1)
 
 
-def _capped_sup(weights: np.ndarray, values: np.ndarray, bound) -> float | None:
-    """The weighted sup over all ``len(weights)`` exponents, from the first ``len(values)``.
+def _lyapunov_bounds(ends: np.ndarray, c: int, p_max: int) -> np.ndarray:
+    """Bounds on ``||f||_p`` for p = c+1..p_max, one row per ``(||f||_c, max f)`` row of ``ends``.
 
-    ``bound`` caps every later value, so the later weighted terms are at most
-    ``weights[len(values)] * bound``.  Where that, with a relative slack of
-    ``BOUND_SLACK`` for rounding, is at most the sup of the prefix, no later
-    term exceeds it and the prefix sup is the whole sup (a zero path settles
-    at once).  Where it is not, returns None: a NaN bound never settles the
-    sup, and an infinite one only when the prefix sup is infinite too.
+    ``||f||_c^(c/p) max(f)^(1-c/p)``, Lyapunov's interpolation between L^c
+    and L^inf, capped at the peak (itself a bound) so that rounding never
+    lifts it above.  A NaN gives NaN, an infinite peak ``inf``, zeros 0.
     """
-    count = len(values)
-    sup = np.max(weights[:count] * values)
-    if count == len(weights) or weights[count] * bound * (1.0 + BOUND_SLACK) <= sup:
-        return sup
-    return None
+    theta = c / np.arange(c + 1, p_max + 1)
+    norm_c, peak = ends[:, :1], ends[:, 1:]
+    return np.minimum(norm_c**theta * peak ** (1.0 - theta), peak)
 
 
 def exp_orlicz_lp_norm(path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX) -> float:
@@ -288,12 +292,16 @@ def integer_p_besov_totals(
     reference.
 
     With ``beta``, which needs ``p_max`` at least 8, returns ``p_head + 1``
-    numbers instead: the totals for p = 1..p_head, then ``sup_p p^(-1/beta)
-    total_p`` over p <= p_max, by the early exit stated in the module
-    docstring.  These are the same floats as the full sweep and
+    numbers instead (``0 <= p_head <= p_max``): the totals for p =
+    1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max, by the
+    early exit stated in the module docstring.  These are the same floats as the full sweep and
     ``p_weighted_sup`` give.  With ``n_max = 0`` there are no smoothness
     terms and the totals are the L^p norms.
     """
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
+    if not 0 <= p_head <= p_max:
+        raise ValueError("p_head must lie in [0, p_max]")
     if n_max is None:
         n_max = default_n_max(path.depth)
     if beta is None:
@@ -304,21 +312,26 @@ def integer_p_besov_totals(
         weights = _p_weights(p_max, beta)
         count = min(p_max, max(POWER_CAP, p_head))
     weight = 2.0**-path.depth
-    lp, bound = _lp_prefix(_row_norms(path.space, path.values[: path.grid_size]), weight, p_max, count)
+    lp, peak = _lp_prefix(_row_norms(path.space, path.values[: path.grid_size]), weight, p_max, count)
+    ends = [(lp[-1], peak)]  # (||f||_count, max f) of each weighted vector
     sup_terms = np.zeros(count)
-    sup_peak = 0.0
     for n in range(1, n_max + 1):
         scale = 2.0 ** (n * alpha)
         d_n, peak = _lp_prefix(_increment_norms(path, n), weight, p_max, count)
         np.maximum(sup_terms, scale * d_n, out=sup_terms)
-        sup_peak = np.maximum(sup_peak, scale * peak)  # propagates NaN
+        ends.append((scale * d_n[-1], scale * peak))
     totals = lp + sup_terms
     if beta is None:
         return totals
-    sup = _capped_sup(weights, totals, bound + sup_peak)
-    if sup is None:
-        totals = integer_p_besov_totals(path, alpha, p_max, n_max)
-        sup = np.max(weights * totals)
+    sup = np.max(weights[:count] * totals)
+    if count < p_max:
+        bounds = _lyapunov_bounds(np.array(ends), count, p_max)
+        later = bounds[0] + np.max(bounds[1:], axis=0, initial=0.0)
+        # A NaN never settles the sup, an infinite bound only an infinite
+        # sup, and a zero path settles here.
+        if not np.max(weights[count:] * later) * (1.0 + BOUND_SLACK) <= sup:
+            totals = integer_p_besov_totals(path, alpha, p_max, n_max)
+            sup = np.max(weights * totals)
     return np.append(totals[:p_head], sup)
 
 

@@ -623,6 +623,7 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("at least two paths are required")
     p_ints = _integer_exponents(cfg, cfg.p_max)
     n_max = _trusted_n_max(cfg.depth)
+    besov.check_beta(cfg.beta)
     models = _moment_space_models(cfg)
     # Only this experiment pools its paths.  Pooling bm-limit, divergence and
     # tau as well (2 vCPUs, 24-s benchmark runs, seeds 31-33) cut the

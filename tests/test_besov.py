@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from besovbm import besov, orlicz
+from besovbm import besov, harness, orlicz
 from besovbm.besov import BesovParams
 from besovbm.simulate import PathSample, RngSeed, sample_bm
 from besovbm.spaces import NORM_BLOCK, finite_lq, space_norm, truncated_lp
@@ -415,7 +418,8 @@ def test_early_exit_sups_equal_the_full_sweep(model, depth):
 
 
 def _spike_path(depth=10):
-    # L^p grows towards the peak as 2^(-depth/p), so the bound at p = 33 stays above the sup
+    # L^p of a 0/1 vector is 2^(-depth/p), which the interpolation bound meets
+    # exactly, and the beta = 3 weighted terms peak near p = 19, past the cap of 8
     values = np.zeros(((1 << depth) + 1, 1))
     values[100] = 1.0
     return PathSample(SCALAR, depth, values)
@@ -478,4 +482,56 @@ def test_early_exit_stops_the_running_powers_at_the_cap(monkeypatch):
     besov.exp_orlicz_lp_norm(path, 2.0, 128)
     # one sweep per norm vector: the values and n_max increment vectors, then the values
     assert len(counts) == besov.default_n_max(path.depth) + 2
-    assert max(counts) <= besov.POWER_CAP < 128
+    assert max(counts) <= 8
+
+
+@pytest.mark.parametrize("seed", [3, 20260808])
+def test_default_moments_models_settle_at_eight_powers(seed, monkeypatch):
+    cfg = dataclasses.replace(harness.default_config("moments", seed), paths=2)
+    assert cfg.depth == 16
+    p_ints = harness._integer_exponents(cfg, cfg.p_max)
+    n_max = besov.default_n_max(cfg.depth)
+    models = [(space, sigma) for _, space, sigma in harness._moment_space_models(cfg)]
+    counts = _recorded_power_counts(monkeypatch)
+    harness.map_paths(
+        cfg, models, lambda path: besov.integer_p_besov_totals(path, 0.5, cfg.p_max, n_max, cfg.beta, max(p_ints))
+    )
+    # one sweep of 8 running powers per norm vector, and no full sweep
+    assert counts == [8] * (len(models) * cfg.paths * (n_max + 1))
+
+
+def test_integer_p_besov_totals_takes_p_head_from_0_to_p_max():
+    path = bm_path(1, depth=10)
+    totals = besov.integer_p_besov_totals(path, 0.5, 64, 4)
+    got = besov.integer_p_besov_totals(path, 0.5, 64, 4, 2.0, p_head=64)
+    assert np.array_equal(got, np.append(totals, besov.p_weighted_sup(totals, 2.0)))
+    # 100 used to return 64 head totals, and -1 dropped the last total
+    for p_head in (-1, 65, 100):
+        with pytest.raises(ValueError, match=r"p_head must lie in \[0, p_max\]"):
+            besov.integer_p_besov_totals(path, 0.5, 64, 4, 2.0, p_head=p_head)
+    with pytest.raises(ValueError, match="p_max must be at least 1"):
+        besov.integer_p_besov_totals(path, 0.5, 0, 4)
+
+
+_NORM_ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(_NORM_ENTRY, min_size=1, max_size=200),
+    exponent=st.integers(-300, 300),
+    c=st.integers(1, 8),
+    p_max=st.sampled_from([8, 64, 128]),
+)
+@example(base=[0.0] * 7 + [1.0], exponent=0, c=8, p_max=128)  # a spike: the bound is exact
+@example(base=[0.0] * 8, exponent=0, c=8, p_max=64)
+@example(base=[3.0] * 16, exponent=300, c=1, p_max=128)  # a constant at the rescale
+def test_lyapunov_bound_caps_every_later_lp_norm(base, exponent, c, p_max):
+    norms = np.array(base) * 10.0**exponent
+    weight = 2.0 ** -(len(base) - 1).bit_length()  # weight * len <= 1, equal at powers of two
+    full = besov.integer_p_lp_norms(norms, weight, p_max)
+    peak = float(norms.max())
+    bounds = besov._lyapunov_bounds(np.array([[full[c - 1], peak]]), c, p_max)[0]
+    assert bounds.shape == (p_max - c,)
+    assert np.all(full[c:] <= bounds * (1.0 + besov.BOUND_SLACK))
+    assert np.all(bounds <= peak)

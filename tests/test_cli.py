@@ -210,6 +210,17 @@ def test_divergence_rejects_q_below_one(tmp_path, capsys, monkeypatch, q):
     assert "q must lie in [1, inf]" in err
 
 
+@pytest.mark.parametrize("beta", ["nan", "0", "-1"])
+def test_moments_rejects_a_beta_that_is_not_positive(tmp_path, capsys, monkeypatch, beta):
+    # nan used to pass the check and print a besov-orlicz row with estimate=nan
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(f"beta = {beta}\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, "moments", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "beta must be positive" in err
+
+
 @pytest.mark.parametrize("depth, scales", [(12, ["n=4", "n=5", "n=6"]), (8, ["n=1", "n=2"]), (7, ["n=1"])])
 def test_bm_limit_default_scales_are_the_three_highest_trusted(capsys, depth, scales):
     code, out, _ = run_cli(capsys, "bm-limit", "--depth", str(depth), "--paths", "20", "--seed", "5")
