@@ -8,7 +8,8 @@ scales n = 1..n_max in l^q (maximum for q = inf).  The exponential Orlicz
 norms take suprema of p^(-1/beta)-weighted L^p quantities over integer p.
 
 The scale cap defaults to depth - 6 so that the difference-norm Riemann sum
-at the finest scale still averages at least 64 increments.
+at the finest scale still averages at least 64 increments.  Exponents are
+checked by :func:`spaces.check_exponent`, the Orlicz sups by :func:`check_orlicz_sup`.
 
 Row norms are taken ``NORM_BLOCK`` elements at a time into one preallocated
 vector, so no path-sized temporary (differences, absolute values, squares)
@@ -39,14 +40,13 @@ import numpy as np
 
 from . import orlicz
 from .simulate import PathSample
-from .spaces import row_blocks, space_norm
+from .spaces import check_exponent, row_blocks, space_norm
 
 __all__ = [
     "SCALE_MARGIN",
     "POWER_CAP",
     "default_n_max",
-    "check_q",
-    "check_beta",
+    "check_orlicz_sup",
     "BesovParams",
     "NormReport",
     "lp_norm_path",
@@ -76,12 +76,6 @@ def default_n_max(depth: int) -> int:
     return max(depth - SCALE_MARGIN, 1)
 
 
-def check_q(q: float) -> None:
-    """Reject an outer (scale-sum) exponent outside ``[1, inf]``, NaN included."""
-    if not (q >= 1.0):
-        raise ValueError("q must lie in [1, inf]")
-
-
 @dataclass(frozen=True)
 class BesovParams:
     """Parameters (alpha, p, q, n_max) of a dyadic Besov norm."""
@@ -94,9 +88,8 @@ class BesovParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not (1.0 <= self.p < math.inf):
-            raise ValueError("p must lie in [1, inf)")
-        check_q(self.q)
+        check_exponent(self.p, "p", finite=True)
+        check_exponent(self.q, "q")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -136,8 +129,7 @@ def lp_norm_path(path: PathSample, p: float) -> float:
 
     ``(2^-N sum_{t_k < 1} |values_k|^p)^(1/p)``; the maximum for p = inf.
     """
-    if not p >= 1.0:
-        raise ValueError("p must lie in [1, inf]")
+    check_exponent(p)
     return _reduce_lp(_row_norms(path.space, path.values[: path.grid_size]), 2.0**-path.depth, p)
 
 
@@ -153,8 +145,7 @@ def dyadic_increment_lp(path: PathSample, n: int, p: float) -> float:
     Riemann sum over the grid points t_k with t_k + 2^-n <= 1, p-th root
     taken after weighting by the grid step.
     """
-    if not p >= 1.0:
-        raise ValueError("p must lie in [1, inf]")
+    check_exponent(p)
     return _reduce_lp(_increment_norms(path, n), 2.0**-path.depth, p)
 
 
@@ -165,8 +156,8 @@ def scale_terms(path: PathSample, alpha: float, scales, p_list) -> np.ndarray:
     entry ``(i, j)`` is the same float as
     ``2^(scales[i] alpha) * dyadic_increment_lp(path, scales[i], p_list[j])``.
     """
-    if not all(p >= 1.0 for p in p_list):
-        raise ValueError("p must lie in [1, inf]")
+    for p in p_list:
+        check_exponent(p)
     weight = 2.0**-path.depth
     terms = np.empty((len(scales), len(p_list)))
     for i, n in enumerate(scales):
@@ -237,20 +228,22 @@ def integer_p_lp_norms(norms: np.ndarray, weight: float, p_max: int) -> np.ndarr
     return _lp_prefix(norms, weight, p_max, p_max)[0]
 
 
-def check_beta(beta: float) -> None:
-    """Reject a p-weight exponent ``beta`` that is not positive, NaN included."""
+def check_orlicz_sup(beta: float, p_max: int) -> None:
+    """Reject a ``p^(-1/beta)``-weighted sup over p <= p_max unless beta > 0 (not NaN) and p_max >= 8."""
     if not beta > 0:
         raise ValueError("beta must be positive")
+    if p_max < 8:
+        raise ValueError("p_max must be at least 8")
 
 
 def _p_weights(count: int, beta: float) -> np.ndarray:
-    check_beta(beta)
     return np.arange(1, count + 1) ** (-1.0 / beta)
 
 
 def p_weighted_sup(values, beta: float):
     """``max_p p^(-1/beta) values[..., p - 1]`` over p = 1, 2, ... along the last axis."""
     values = np.asarray(values)
+    check_orlicz_sup(beta, values.shape[-1])
     return np.max(_p_weights(values.shape[-1], beta) * values, axis=-1)
 
 
@@ -291,7 +284,7 @@ def integer_p_besov_totals(
     exponential Orlicz--Besov supremum affordable.  This full sweep is the
     reference.
 
-    With ``beta``, which needs ``p_max`` at least 8, returns ``p_head + 1``
+    With ``beta`` (see :func:`check_orlicz_sup`), returns ``p_head + 1``
     numbers instead (``0 <= p_head <= p_max``): the totals for p =
     1..p_head, then ``sup_p p^(-1/beta) total_p`` over p <= p_max, by the
     early exit stated in the module docstring.  These are the same floats as the full sweep and
@@ -307,8 +300,7 @@ def integer_p_besov_totals(
     if beta is None:
         count = p_max
     else:
-        if p_max < 8:
-            raise ValueError("p_max must be at least 8")
+        check_orlicz_sup(beta, p_max)
         weights = _p_weights(p_max, beta)
         count = min(p_max, max(POWER_CAP, p_head))
     weight = 2.0**-path.depth

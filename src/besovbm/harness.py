@@ -10,7 +10,10 @@ optional SVG plot.  Full determinism: identical configs,
 including the seed, give byte-identical report files.
 
 Each experiment is one :class:`Experiment` record in :data:`EXPERIMENTS`;
-the defaults, the dispatch, the config-key check and the CLI all read it.
+the defaults, the dispatch, the one config-key check (:func:`config_from_mapping`,
+for files, flags and API callers alike) and the CLI all read it.  Inputs are
+checked before the first draw: ``p.list`` in :func:`run`, the rest in each
+driver before :func:`map_paths`.
 
 The path experiments (bm-limit, divergence, moments, tau) sample their
 paths and take a per-path statistic through one driver, :func:`map_paths`,
@@ -59,6 +62,7 @@ from .spaces import (
     finite_lq,
     iw_norm,
     padded_weights,
+    check_exponent,
     parse_exponent,
     truncated_lp,
 )
@@ -132,7 +136,7 @@ class ExperimentConfig:
     seed: RngSeed = field(default_factory=lambda: RngSeed(DEFAULT_SEED))
     out_path: str | None = None
     formats: tuple = ("csv",)
-    ensembles: tuple = ()  # maximal's EnsembleConfigs; empty means default_ensembles()
+    ensembles: tuple = ()  # maximal's EnsembleConfigs
 
 
 @dataclass(frozen=True)
@@ -163,14 +167,38 @@ def _geometric_sigma(dim: int = 16, ratio: float = 0.7) -> tuple:
     return tuple(ratio ** np.arange(dim))
 
 
+def default_ensembles() -> tuple:
+    """Ten stock ensembles: constant, geometric, and spike weight profiles
+    on l^1, l^2 and l^inf spaces with up to 256 variables."""
+    inf = math.inf
+    return (
+        EnsembleConfig("c01-scalar-iid-256", finite_lq(1, 2.0), (1.0,), 256),
+        EnsembleConfig("c02-scalar-geo-200", finite_lq(1, 2.0), (0.9,), 200, decay=0.9),
+        EnsembleConfig("c03-scalar-const-128", finite_lq(1, 2.0), (0.3,), 128),
+        EnsembleConfig("c04-scalar-spike", finite_lq(1, 2.0), (5.0,), 64, decay=0.5),
+        EnsembleConfig("c05-l2-const-32", truncated_lp(2.0, 8), _geometric_sigma(8, 0.7), 32),
+        EnsembleConfig("c06-l1-const-16", truncated_lp(1.0, 4), (0.5, 0.5, 0.5, 0.5), 16),
+        EnsembleConfig("c07-linf-geo-64", truncated_lp(inf, 8), _geometric_sigma(8, 0.9), 64, decay=0.97),
+        EnsembleConfig("c08-l2-spike-16", truncated_lp(2.0, 2), (1.5, 0.1), 16, decay=0.95),
+        EnsembleConfig("c09-linf-pair-8", truncated_lp(inf, 2), (1.0, 1.0), 8),
+        EnsembleConfig("c10-l1-geo-100", truncated_lp(1.0, 8), _geometric_sigma(8, 0.6), 100, decay=0.98),
+    )
+
+
+_SPACE_KEYS = frozenset({"space.kind", "space.p", "space.dim"})  # also under ensemble.<id>.
+_ENSEMBLE_SUBKEYS = _SPACE_KEYS | {"sigma", "count", "decay"}
+_COMMON_KEYS = frozenset({"experiment.id", "rng.seed", "rng.stream", "out.path", "out.format"})
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One registered experiment.
 
     ``driver`` runs a config; ``defaults`` are the :class:`ExperimentConfig`
-    fields it sets over the dataclass defaults; ``keys`` are the config keys
-    it reads besides experiment.id, rng.* and out.*, where "space.*" and
-    "ensemble.*" stand for every key under the prefix.
+    fields it sets over the dataclass defaults (their only home); ``keys``
+    are the config keys it reads besides ``_COMMON_KEYS``, where
+    "ensemble.*" stands for ``ensemble.<id>.<sub>`` with ``<sub>`` in
+    ``_ENSEMBLE_SUBKEYS``.
     """
 
     help: str
@@ -187,13 +215,13 @@ EXPERIMENTS = {
         "scaled dyadic increment norms against the moment of |W(1)|",
         lambda cfg: run_limit_experiment(cfg),
         dict(p_list=(1.0, 2.0, 4.0)),
-        frozenset({"space.*", "sigma", "depth", "scales", "p.list", "mc.paths"}),
+        _SPACE_KEYS | {"sigma", "depth", "scales", "p.list", "mc.paths"},
     ),
     "divergence": Experiment(
         "growth of partial q-sums of the smoothness seminorm",
         lambda cfg: run_divergence_experiment(cfg),
         dict(depth=18, q=2.0, p_list=(2.0,)),
-        frozenset({"space.*", "sigma", "depth", "q", "p.list", "mc.paths"}),
+        _SPACE_KEYS | {"sigma", "depth", "q", "p.list", "mc.paths"},
     ),
     "moments": Experiment(
         "first moments of Besov and Orlicz-Besov path norms",
@@ -205,19 +233,19 @@ EXPERIMENTS = {
         "empirical minimum of the Besov norm (small-ball probe)",
         lambda cfg: run_tau_experiment(cfg),
         dict(paths=500, p_list=(1.0, 2.0)),
-        frozenset({"space.*", "sigma", "depth", "p.list", "mc.paths"}),
+        _SPACE_KEYS | {"sigma", "depth", "p.list", "mc.paths"},
     ),
     "maximal": Experiment(
         "expected-supremum sandwich for Gaussian ensembles",
         lambda cfg: run_maximal_experiment(cfg),
-        {},
+        dict(ensembles=default_ensembles()),
         frozenset({"mc.samples", "ensemble.*"}),
     ),
     "increment-variance": Experiment(
         "weak variance of lag-c increments in L^p",
         lambda cfg: run_increment_variance_experiment(cfg),
         dict(scales=(2, 4, 6), p_list=(1.0, 2.0, 4.0)),
-        frozenset({"space.*", "sigma", "depth", "scales", "p.list"}),
+        _SPACE_KEYS | {"sigma", "depth", "scales", "p.list"},
     ),
 }
 
@@ -244,7 +272,7 @@ _CONFIG_FIELDS = {
     "sigma": ("sigma", lambda text: _parse_list(text, float)),
     "depth": ("depth", int),
     "scales": ("scales", lambda text: _parse_list(text, lambda tok: int(float(tok)))),
-    "p.list": ("p_list", lambda text: _parse_list(text, float)),
+    "p.list": ("p_list", lambda text: _parse_list(text, parse_exponent)),
     "q": ("q", parse_exponent),
     "beta": ("beta", float),
     "p.max": ("p_max", int),
@@ -253,23 +281,13 @@ _CONFIG_FIELDS = {
     "out.path": ("out_path", str),
     "out.format": ("formats", lambda text: _parse_list(text, str)),
 }
-# The keys that pick the defaults or build a space or a seed from several parts.
-_CONFIG_SCALARS = {
-    "experiment.id",
-    "space.kind",
-    "space.p",
-    "space.dim",
-    "rng.seed",
-    "rng.stream",
-    *_CONFIG_FIELDS,
-}
-_ENSEMBLE_SUBKEYS = {"space.kind", "space.p", "space.dim", "sigma", "count", "decay"}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse the flat ``key = value`` config format with dotted keys.
 
-    Blank lines and ``#`` comments are skipped; unknown keys are errors.
+    Blank lines and ``#`` comments are skipped; a line without ``=`` and a
+    duplicate key are errors.  :func:`config_from_mapping` checks the keys.
     """
     mapping: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -282,14 +300,7 @@ def parse_config_text(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key in mapping:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _CONFIG_SCALARS:
-            mapping[key] = value
-            continue
-        parts = key.split(".")
-        if parts[0] == "ensemble" and len(parts) >= 3 and ".".join(parts[2:]) in _ENSEMBLE_SUBKEYS:
-            mapping[key] = value
-            continue
-        raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        mapping[key] = value
     return mapping
 
 
@@ -311,24 +322,33 @@ def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> Spac
     )
 
 
+def _key_family(key: str) -> str:
+    """``key``, or "ensemble.*" for ``ensemble.<id>.<sub>`` with ``<sub>`` in ``_ENSEMBLE_SUBKEYS``."""
+    parts = key.split(".", 2)
+    if parts[0] == "ensemble" and len(parts) == 3 and parts[2] in _ENSEMBLE_SUBKEYS:
+        return "ensemble.*"
+    return key
+
+
 def config_from_mapping(experiment: str, mapping: dict, seed: int = DEFAULT_SEED) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed config keys.
 
-    A key the chosen experiment never reads is an error, and so is an
-    ``experiment.id`` that names another experiment.
+    The one config-key check: a key the chosen experiment does not read,
+    unknown keys included, is an error, and so is an ``experiment.id`` that
+    names another experiment.  Ensemble groups replace the default ensembles.
     """
     if mapping.get("experiment.id", experiment) != experiment:
         raise ValueError(f"the config sets experiment.id = {mapping['experiment.id']}, not {experiment}")
     cfg = default_config(experiment, seed)
-    reads = EXPERIMENTS[experiment].keys | {"experiment.id", "rng.*", "out.*"}
-    unread = [key for key in sorted(mapping) if key not in reads and key.split(".")[0] + ".*" not in reads]
+    reads = EXPERIMENTS[experiment].keys | _COMMON_KEYS
+    unread = [key for key in sorted(mapping) if _key_family(key) not in reads]
     if unread:
         raise ValueError(f"{experiment} does not read the config keys {', '.join(unread)}")
     return replace(
         cfg,
         space=_space_from_mapping(mapping, "space.", cfg.space),
         seed=RngSeed(int(mapping.get("rng.seed", cfg.seed.seed)), int(mapping.get("rng.stream", 0))),
-        ensembles=ensembles_from_mapping(mapping),
+        ensembles=ensembles_from_mapping(mapping) or cfg.ensembles,
         **{name: parse(mapping[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in mapping},
     )
 
@@ -337,10 +357,9 @@ def ensembles_from_mapping(mapping: dict) -> tuple:
     """Collect ``ensemble.<id>.*`` groups into :class:`EnsembleConfig` objects."""
     groups: dict = {}
     for key, value in mapping.items():
-        parts = key.split(".")
-        if parts[0] != "ensemble":
-            continue
-        groups.setdefault(parts[1], {})[".".join(parts[2:])] = value
+        if _key_family(key) == "ensemble.*":
+            _, config_id, sub = key.split(".", 2)
+            groups.setdefault(config_id, {})[sub] = value
     configs = []
     for config_id in sorted(groups):
         sub = groups[config_id]
@@ -350,24 +369,6 @@ def ensembles_from_mapping(mapping: dict) -> tuple:
         decay = float(sub.get("decay", 1.0))
         configs.append(EnsembleConfig(config_id, space, sigma, count, decay))
     return tuple(configs)
-
-
-def default_ensembles() -> tuple:
-    """Ten stock ensembles: constant, geometric, and spike weight profiles
-    on l^1, l^2 and l^inf spaces with up to 256 variables."""
-    inf = math.inf
-    return (
-        EnsembleConfig("c01-scalar-iid-256", finite_lq(1, 2.0), (1.0,), 256),
-        EnsembleConfig("c02-scalar-geo-200", finite_lq(1, 2.0), (0.9,), 200, decay=0.9),
-        EnsembleConfig("c03-scalar-const-128", finite_lq(1, 2.0), (0.3,), 128),
-        EnsembleConfig("c04-scalar-spike", finite_lq(1, 2.0), (5.0,), 64, decay=0.5),
-        EnsembleConfig("c05-l2-const-32", truncated_lp(2.0, 8), _geometric_sigma(8, 0.7), 32),
-        EnsembleConfig("c06-l1-const-16", truncated_lp(1.0, 4), (0.5, 0.5, 0.5, 0.5), 16),
-        EnsembleConfig("c07-linf-geo-64", truncated_lp(inf, 8), _geometric_sigma(8, 0.9), 64, decay=0.97),
-        EnsembleConfig("c08-l2-spike-16", truncated_lp(2.0, 2), (1.5, 0.1), 16, decay=0.95),
-        EnsembleConfig("c09-linf-pair-8", truncated_lp(inf, 2), (1.0, 1.0), 8),
-        EnsembleConfig("c10-l1-geo-100", truncated_lp(1.0, 8), _geometric_sigma(8, 0.6), 100, decay=0.98),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def _trusted_n_max(depth: int) -> int:
 
 def _integer_exponents(cfg: ExperimentConfig, p_cap: float = math.inf) -> list:
     """The config's exponents as ints; each must be an integer in [1, p_cap]."""
-    p_ints = [int(round(p)) for p in cfg.p_list]
+    p_ints = [int(round(p)) if math.isfinite(p) else 0 for p in cfg.p_list]
     if any(abs(p - k) > 1e-12 or not 1 <= k <= p_cap for p, k in zip(cfg.p_list, p_ints)):
         raise ValueError(f"{cfg.experiment} exponents must be integers in [1, {p_cap:g}]")
     return p_ints
@@ -554,7 +555,7 @@ def run_divergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     discrimination.  The last row compares the mean growth with the
     linear-divergence prediction ``G*``.
     """
-    besov.check_q(cfg.q)
+    check_exponent(cfg.q, "q")
     if math.isinf(cfg.q):
         raise ValueError("the divergence probe needs a finite q")
     n_lo = cfg.depth // 2
@@ -621,18 +622,15 @@ def run_moment_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.paths < 2:
         raise ValueError("at least two paths are required")
+    besov.check_orlicz_sup(cfg.beta, cfg.p_max)
     p_ints = _integer_exponents(cfg, cfg.p_max)
     n_max = _trusted_n_max(cfg.depth)
-    besov.check_beta(cfg.beta)
     models = _moment_space_models(cfg)
     # Only this experiment pools its paths.  Pooling bm-limit, divergence and
-    # tau as well (2 vCPUs, 24-s benchmark runs, seeds 31-33) cut the
-    # scalar-paths wall time from 3.73 to 2.57 s but raised its CPU time
-    # from 3.73 to 4.45 s (+19 %) and its peak RSS from 63.9 to 73.6 MB
-    # (+15 %); with MALLOC_ARENA_MAX=1 the peak stayed at 73.9 MB, so the
-    # cost is the second path in flight, not allocator retention.  These
-    # numbers predate the one-coordinate branch of space_norm, which made
-    # the serial scalar paths about a quarter faster.
+    # tau as well (2 vCPUs, three alternating 12-s scalar-paths benchmark
+    # pairs, seeds 301-303) cut the wall time from 2.6-3.7 to 2.0-2.3 s, but
+    # raised the CPU time by 4-47 % and the peak RSS from 47.1 to 59.2-59.7 MB
+    # (+26 %, over the benchmark's 0.1 bound): the second path in flight.
     # Per path: the Besov totals for p = 1..max(p_ints), then the weighted
     # sup over p <= p_max, from the early-exit sweep.
     heads = np.array(
@@ -761,12 +759,10 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
     not exceed the upper value, and the test functional must match its
     closed form within 2%.  Each lag ``c = 2^-j`` takes its ``j`` from
     ``scales``, which must be nonempty with every ``j`` in ``[1, depth]``;
-    every ``p`` must be at least 1.
+    :func:`run` checks the exponents.
     """
     if not cfg.scales:
         raise ValueError("scales is empty: increment-variance needs at least one lag")
-    if not all(p >= 1.0 for p in cfg.p_list):
-        raise ValueError("p must be at least 1")
     net = dual_net(cfg.space, max(64, 2 * cfg.space.dim), _draw_seed(cfg, 0, "dual-net"))
     sig = padded_weights(cfg.space, cfg.sigma)
     net_coupling = float(np.max(np.sqrt((net**2) @ (sig**2))))
@@ -805,15 +801,15 @@ def run_increment_variance_experiment(cfg: ExperimentConfig) -> ExperimentResult
 def run_maximal_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo check of the expected-supremum sandwich per ensemble.
 
-    Runs ``cfg.ensembles``, or :func:`default_ensembles` where that is empty.
-    Returns one row per ensemble, in order: the estimate of ``E sup_n |xi_n|``
+    Runs ``cfg.ensembles`` (by default :func:`default_ensembles`).  Returns
+    one row per ensemble, in order: the estimate of ``E sup_n |xi_n|``
     with its ci, the upper bound as the reference and the lower bound as
     ``lower``.  Ensemble ``k`` draws from ``_draw_seed(cfg, k, "ensemble")``:
     appending a configuration leaves the others unchanged, while removing or
     reordering one moves the keys of those after it.
     """
     rows = []
-    for k, econf in enumerate(cfg.ensembles or default_ensembles()):
+    for k, econf in enumerate(cfg.ensembles):
         report = empirical_sup_mean(econf.build(), cfg.mc_samples, _draw_seed(cfg, k, "ensemble"))
         rows.append(
             ResultRow(
@@ -831,11 +827,15 @@ def run_maximal_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def run(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the registered driver of ``cfg.experiment``.
 
-    An experiment that reads ``p.list`` rejects an empty one before it draws.
+    An experiment that reads ``p.list`` rejects an empty one, or an entry
+    outside ``[1, inf]``, before it draws.
     """
     record = _experiment(cfg.experiment)
-    if not cfg.p_list and "p.list" in record.keys:
-        raise ValueError(f"p.list is empty: {cfg.experiment} needs at least one exponent")
+    if "p.list" in record.keys:
+        if not cfg.p_list:
+            raise ValueError(f"p.list is empty: {cfg.experiment} needs at least one exponent")
+        for p in cfg.p_list:
+            check_exponent(p)
     return record.driver(cfg)
 
 

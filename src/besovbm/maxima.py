@@ -34,7 +34,7 @@ from .simulate import (
 )
 # ``space_norm`` is not called here; it stays because the benchmark tracer
 # (perfbench/spans.py) patches ``maxima.space_norm``.
-from .spaces import diag_weak_variance, space_norm  # noqa: F401
+from .spaces import check_exponent, diag_weak_variance, space_norm  # noqa: F401
 
 __all__ = [
     "EstimateReport",
@@ -94,11 +94,10 @@ def lower_bound(m: float, sigma) -> float:
 def remark_bound(sigma, p: float) -> float:
     """Closed-form dominator ``[((p-1)/e)^((p-1)/2) sum sigma_n^(p+1)]^(1/(p+1))``.
 
-    Dominates the Luxemburg Theta-norm for every p >= 1, with the 0^0 = 1
-    convention at p = 1 (where it reduces to the l^2 norm of sigma).
+    Dominates the Luxemburg Theta-norm for every p in [1, inf), with the
+    0^0 = 1 convention at p = 1 (where it reduces to the l^2 norm of sigma).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_exponent(p, finite=True)
     w = as_weights(sigma)
     if w.size == 0 or not np.any(w > 0):
         return 0.0

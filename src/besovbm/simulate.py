@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import SpaceSpec, padded_weights, row_blocks, scalar_weight, space_norm
+from .spaces import SpaceSpec, check_exponent, padded_weights, row_blocks, scalar_weight, space_norm
 
 __all__ = [
     "RngSeed",
@@ -134,10 +134,9 @@ def _log_abs_moment(p: float) -> float:
 def gaussian_abs_moment(p: float) -> float:
     """(E|N(0,1)|^p)^(1/p) = (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p).
 
-    Evaluated through log-gamma for stability at large p; requires p >= 1.
+    Evaluated through log-gamma for stability at large p; p lies in [1, inf).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_exponent(p, finite=True)
     return math.exp(_log_abs_moment(p) / p)
 
 
@@ -220,10 +219,9 @@ def diag_norm_moment(space: SpaceSpec, sigma, p: float) -> float | None:
     back, so the value is homogeneous in sigma over the whole float range.
     None for every other exponent and p (``l^2`` at odd p > 1, non-integer p
     in ``l^1`` or ``l^2``, ``l^3``); those moments need Monte Carlo.
-    Requires a finite p >= 1.
+    Requires p in [1, inf).
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must lie in [1, inf)")
+    check_exponent(p, finite=True)
     sig = padded_weights(space, sigma)
     scale = scalar_weight(sig)
     if scale is not None:

@@ -8,6 +8,11 @@ coordinate spaces under an l^p norm:
   space l^p, used for diagonal Gaussian vectors ``xi = sum_n sigma_n g_n e_n``
   whose weights vanish beyond the truncation.
 
+The two build the same norm (their arguments come in opposite order); no
+code branches on ``SpaceSpec.kind``, so the kind and the ``space.kind``
+config key only label a space.  :func:`check_exponent` is the one check
+that an exponent lies in ``[1, inf]``.
+
 Norming sequences of functionals are replaced by finite dual nets: the
 signed canonical coordinate functionals plus random directions normalised
 to unit dual norm.  Net density is validated empirically by the norm
@@ -26,6 +31,7 @@ from .orlicz import as_weights
 __all__ = [
     "SpaceSpec",
     "parse_exponent",
+    "check_exponent",
     "finite_lq",
     "truncated_lp",
     "padded_weights",
@@ -53,8 +59,7 @@ class SpaceSpec:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if not (self.exponent >= 1.0):
-            raise ValueError("exponent must lie in [1, inf]")
+        check_exponent(self.exponent, "exponent")
 
 
 def parse_exponent(text: str) -> float:
@@ -62,6 +67,12 @@ def parse_exponent(text: str) -> float:
     if text.lower() in ("inf", "infinity", "oo"):
         return math.inf
     return float(text)
+
+
+def check_exponent(value: float, name: str = "p", finite: bool = False) -> None:
+    """Reject an exponent outside ``[1, inf]``, or ``[1, inf)`` when ``finite``, NaN included."""
+    if not value >= 1.0 or (finite and math.isinf(value)):
+        raise ValueError(f"{name} must lie in [1, inf{')' if finite else ']'}")
 
 
 def finite_lq(dim: int, q: float) -> SpaceSpec:
@@ -187,8 +198,7 @@ def diag_weak_variance(p: float, sigma) -> float:
     Closed form: ``sup_n sigma_n`` for ``p in [2, inf]`` and
     ``(sum_n sigma_n^r)^(1/r)`` with ``r = 2p/(2-p)`` for ``p in [1, 2)``.
     """
-    if not (p >= 1.0):
-        raise ValueError("exponent must lie in [1, inf]")
+    check_exponent(p, "exponent")
     w = as_weights(sigma)
     if w.size == 0:
         return 0.0

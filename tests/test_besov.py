@@ -513,6 +513,19 @@ def test_integer_p_besov_totals_takes_p_head_from_0_to_p_max():
         besov.integer_p_besov_totals(path, 0.5, 0, 4)
 
 
+@pytest.mark.parametrize("beta, p_max", [(0.0, 64), (-1.0, 64), (math.nan, 64), (2.0, 4)])
+def test_every_orlicz_sup_takes_one_rule(beta, p_max):
+    path = bm_path(1, depth=10)
+    calls = (
+        lambda: besov.besov_orlicz_norm(path, 0.5, beta, p_max),
+        lambda: besov.exp_orlicz_lp_norm(path, beta, p_max),
+        lambda: besov.p_weighted_sup(np.ones(p_max), beta),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="beta must be positive|p_max must be at least 8"):
+            call()
+
+
 _NORM_ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
 
 

@@ -261,7 +261,40 @@ def test_increment_variance_rejects_an_exponent_below_one(tmp_path, capsys, expo
     cfg.write_text(f"p.list = {exponents}\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "increment-variance", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert "p must be at least 1" in err
+    assert "p must lie in [1, inf]" in err
+
+
+@pytest.mark.parametrize("exponent", ["0.5", "nan", "-inf"])
+@pytest.mark.parametrize("experiment", ["bm-limit", "divergence", "tau", "moments"])
+def test_path_experiment_rejects_an_exponent_outside_one_to_inf(tmp_path, capsys, monkeypatch, experiment, exponent):
+    # divergence used to draw a path before 0.5 or nan raised
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"p.list = {exponent}\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, experiment, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "p must lie in [1, inf]" in err
+
+
+@pytest.mark.parametrize("experiment", ["tau", "moments"])
+def test_integer_p_experiment_rejects_an_infinite_exponent(tmp_path, capsys, monkeypatch, experiment):
+    # inf used to end in an OverflowError traceback instead of exit 2
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("p.list = 1, oo\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, experiment, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{experiment} exponents must be integers" in err
+
+
+def test_moments_rejects_a_p_max_below_8_before_drawing(tmp_path, capsys, monkeypatch):
+    # it used to raise only after drawing every path
+    cfg = tmp_path / "pmax.cfg"
+    cfg.write_text("p.list = 1, 2\np.max = 4\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "sample_bm", lambda *args: pytest.fail("drew a path"))
+    code, out, err = run_cli(capsys, "moments", "--config", str(cfg), "--paths", "2", "--depth", "8")
+    assert code == 2 and out == ""
+    assert "p_max must be at least 8" in err
 
 
 def test_experiment_id_must_match_the_subcommand(tmp_path, capsys, monkeypatch):
@@ -325,7 +358,7 @@ def test_config_error_is_reported(tmp_path, capsys):
     cfg.write_text("no.such.key = 1\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "bm-limit", "--config", str(cfg))
     assert code == 2
-    assert "unknown config key" in err
+    assert "bm-limit does not read the config keys no.such.key" in err
 
 
 def test_config_keys_the_experiment_does_not_read_are_rejected(tmp_path, capsys):

@@ -101,8 +101,11 @@ def test_rng_stream_changes_the_draws():
 
 
 def test_parse_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config key"):
-        harness.parse_config_text("bogus.key = 3")
+    # the text parser checks syntax only; config_from_mapping checks every key
+    mapping = harness.parse_config_text("bogus.key = 3")
+    assert mapping == {"bogus.key": "3"}
+    with pytest.raises(ValueError, match="bm-limit does not read the config keys bogus.key$"):
+        harness.config_from_mapping("bm-limit", mapping)
     with pytest.raises(ValueError, match="duplicate"):
         harness.parse_config_text("depth = 4\ndepth = 5")
     with pytest.raises(ValueError, match="expected"):
@@ -132,6 +135,9 @@ KEYS_READ = {
     "maximal": {"mc.samples", "ensemble.a.count"},
     "increment-variance": {"space.dim", "sigma", "depth", "scales", "p.list"},
 }
+# Keys no experiment reads: an unknown space key, an unknown ensemble subkey
+# and an ensemble group without a subkey (which used to add a default group).
+UNKNOWN_KEYS = {"space.bogus": "3", "ensemble.a.bogus": "3", "ensemble.a": "3", "rng.bogus": "3"}
 
 
 @pytest.mark.parametrize("experiment", sorted(KEYS_READ))
@@ -142,6 +148,14 @@ def test_config_accepts_only_keys_the_experiment_reads(experiment):
     for key in sorted(set(KEY_VALUES) - KEYS_READ[experiment]):
         with pytest.raises(ValueError, match=f"does not read the config keys {key}$"):
             harness.config_from_mapping(experiment, {**read, key: KEY_VALUES[key]})
+    for key, value in UNKNOWN_KEYS.items():
+        with pytest.raises(ValueError, match=f"^{experiment} does not read the config keys {key}$"):
+            harness.config_from_mapping(experiment, {**read, key: value})
+
+
+def test_p_list_parses_exponents_like_q():
+    cfg = harness.config_from_mapping("increment-variance", {"p.list": "1, 2.5, 1e1, oo, inf, Infinity"})
+    assert cfg.p_list == (1.0, 2.5, 10.0, math.inf, math.inf, math.inf)
 
 
 def test_parse_ensemble_groups():
@@ -168,6 +182,12 @@ def test_parse_ensemble_groups():
 @pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
 def test_registry_is_the_only_source_of_defaults(experiment):
     assert harness.config_from_mapping(experiment, {}) == harness.default_config(experiment)
+
+
+def test_maximal_defaults_to_the_stock_ensembles():
+    assert harness.default_config("maximal").ensembles == harness.default_ensembles()
+    mapping = {"ensemble.a.count": "2"}
+    assert [e.config_id for e in harness.config_from_mapping("maximal", mapping).ensembles] == ["a"]
 
 
 def test_default_config_unknown_experiment():

@@ -52,8 +52,10 @@ def test_lower_bound_values():
 def test_remark_bound_values():
     assert maxima.remark_bound([3.0, 4.0], 1.0) == pytest.approx(5.0, abs=1e-12)
     assert maxima.remark_bound([0.0, 0.0], 3.0) == 0.0
-    with pytest.raises(ValueError):
-        maxima.remark_bound([1.0], 0.5)
+    # nan used to return nan, and inf 1.0
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            maxima.remark_bound([1.0], p)
 
 
 def test_variable_mean_scalar_analytic():

@@ -133,8 +133,10 @@ def test_gaussian_abs_moment_values():
     for p in range(1, 257):
         closed = (math.prod(range(p - 1, 0, -2)) * (math.sqrt(2.0 / math.pi) if p % 2 else 1.0)) ** (1.0 / p)
         assert abs(gaussian_abs_moment(p) - closed) <= 8 * math.ulp(closed), p
-    with pytest.raises(ValueError):
-        gaussian_abs_moment(0.5)
+    # nan and inf used to return nan
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            gaussian_abs_moment(p)
 
 
 def test_gaussian_abs_moment_grows_like_sqrt_p():

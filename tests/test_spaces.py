@@ -6,6 +6,7 @@ import pytest
 
 from besovbm.simulate import RngSeed
 from besovbm.spaces import (
+    check_exponent,
     diag_weak_variance,
     dual_exponent,
     dual_net,
@@ -146,6 +147,18 @@ def test_diag_weak_variance_values():
     assert diag_weak_variance(1.0, [3.0, 4.0]) == pytest.approx(5.0)
     assert diag_weak_variance(math.inf, [1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert diag_weak_variance(2.0, []) == 0.0
+
+
+def test_check_exponent_bounds():
+    for p in (1.0, 2.5, math.inf):
+        check_exponent(p)
+    check_exponent(1.0, finite=True)
+    for p in (0.999, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^q must lie in \[1, inf\]$"):
+            check_exponent(p, "q")
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^p must lie in \[1, inf\)$"):
+            check_exponent(p, finite=True)
 
 
 def test_diag_weak_variance_rejects_small_p():
