@@ -11,10 +11,16 @@ The scale cap defaults to depth - 6 so that the difference-norm Riemann sum
 at the finest scale still averages at least 64 increments.  Exponents are
 checked by :func:`spaces.check_exponent`, the Orlicz sups by :func:`check_orlicz_sup`.
 
-Row norms are taken ``NORM_BLOCK`` elements at a time into one preallocated
-vector, so no path-sized temporary (differences, absolute values, squares)
-is ever allocated.  Each row's norm is computed exactly as in a single
-whole-array call, so the blocking never changes a result.
+Row norms are taken a block of rows at a time (``NORM_BLOCK`` elements, but
+at least ``NORM_COLUMNS`` rows) into one preallocated vector, so no
+path-sized temporary is ever allocated.  A sampled path is stored
+coordinate-major (see :func:`simulate.sample_bm`), so a block's differences
+are taken over contiguous columns, coordinate by coordinate, into one
+scratch block per call, and :func:`spaces.space_norm` folds those columns in
+numpy's pairwise row order.  Each row's norm is therefore the float that a
+single whole-array call on row-major rows gives, for a sampled path and for
+a row-major one (read from CSV) alike, and the blocking never changes a
+result.
 
 Both exponential Orlicz sups run through :func:`integer_p_besov_totals` (the
 L^p one as its case with no smoothness scales), which stops the integer-p
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import orlicz
 from .simulate import PathSample
-from .spaces import check_exponent, row_blocks, space_norm
+from .spaces import NORM_BLOCK, check_exponent, space_norm
 
 __all__ = [
     "SCALE_MARGIN",
@@ -69,6 +75,13 @@ DEFAULT_P_MAX = 64
 # term and bound is off by about (p_max + log2 n) 2^-53, far below 1e-9.
 POWER_CAP = 8
 BOUND_SLACK = 1e-9
+# Least rows per space_norm call in _row_norms, which otherwise takes
+# NORM_BLOCK elements a call.  On a coordinate-major block space_norm makes a
+# few numpy calls per 8 coordinates, so the columns must be long: the ten
+# increment-norm vectors of a dim-16 depth-16 path took 23-27 ms in blocks of
+# 2^12 rows against 30-34 ms in blocks of 2^11 and 36-43 ms in blocks of 2^14
+# (one thread, numpy 2.4).
+NORM_COLUMNS = 2**12
 
 
 def default_n_max(depth: int) -> int:
@@ -108,13 +121,23 @@ def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
     """Norms of the rows of ``values``, or of ``values[k + shift] - values[k]``.
 
     With a positive shift there are ``len(values) - shift`` rows.  Computed
-    block by block into one output vector.
+    block by block into one output vector, with the differences taken
+    coordinate by coordinate into one scratch block.  ``values`` may have
+    any layout; on a coordinate-major path every operation runs over
+    contiguous columns.
     """
     rows = values.shape[0] - shift
+    step = max(NORM_BLOCK // space.dim, NORM_COLUMNS)
     out = np.empty(rows)
-    for lo, hi in row_blocks(rows, space.dim):
-        block = values[lo + shift : hi + shift] - values[lo:hi] if shift else values[lo:hi]
-        out[lo:hi] = space_norm(space, block)
+    coords = values.T
+    # per call, not per module: the moments pool runs two calls at once
+    scratch = np.empty((space.dim, min(rows, step))) if shift else None
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        block = coords[:, lo:hi]
+        if shift:
+            block = np.subtract(coords[:, lo + shift : hi + shift], block, out=scratch[:, : hi - lo])
+        out[lo:hi] = space_norm(space, block.T)
     return out
 
 
@@ -252,11 +275,15 @@ def _lyapunov_bounds(ends: np.ndarray, c: int, p_max: int) -> np.ndarray:
 
     ``||f||_c^(c/p) max(f)^(1-c/p)``, Lyapunov's interpolation between L^c
     and L^inf, capped at the peak (itself a bound) so that rounding never
-    lifts it above.  A NaN gives NaN, an infinite peak ``inf``, zeros 0.
+    lifts it above.  Below the smallest normal float ``||f||_c`` carries an
+    absolute rounding error, and may have rounded to 0 while the later norms
+    did not (norms 0 and 5e-324 at weight 1/2), so there the bound is the
+    peak.  A NaN gives NaN, an infinite peak ``inf``, zeros 0.
     """
     theta = c / np.arange(c + 1, p_max + 1)
     norm_c, peak = ends[:, :1], ends[:, 1:]
-    return np.minimum(norm_c**theta * peak ** (1.0 - theta), peak)
+    interpolated = np.where(norm_c < np.finfo(float).tiny, peak, norm_c**theta * peak ** (1.0 - theta))
+    return np.minimum(interpolated, peak)
 
 
 def exp_orlicz_lp_norm(path: PathSample, beta: float, p_max: int = DEFAULT_P_MAX) -> float:

@@ -12,8 +12,8 @@ including the seed, give byte-identical report files.
 Each experiment is one :class:`Experiment` record in :data:`EXPERIMENTS`;
 the defaults, the dispatch, the one config-key check (:func:`config_from_mapping`,
 for files, flags and API callers alike) and the CLI all read it.  Inputs are
-checked before the first draw: ``p.list`` in :func:`run`, the rest in each
-driver before :func:`map_paths`.
+checked before the first draw: ``p.list`` and ``maximal``'s ensembles in
+:func:`run`, the rest in each driver before :func:`map_paths`.
 
 The path experiments (bm-limit, divergence, moments, tau) sample their
 paths and take a per-path statistic through one driver, :func:`map_paths`,
@@ -828,7 +828,8 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the registered driver of ``cfg.experiment``.
 
     An experiment that reads ``p.list`` rejects an empty one, or an entry
-    outside ``[1, inf]``, before it draws.
+    outside ``[1, inf]``, and one that reads ensembles rejects an empty
+    tuple of them, before it draws.
     """
     record = _experiment(cfg.experiment)
     if "p.list" in record.keys:
@@ -836,6 +837,8 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
             raise ValueError(f"p.list is empty: {cfg.experiment} needs at least one exponent")
         for p in cfg.p_list:
             check_exponent(p)
+    if "ensemble.*" in record.keys and not cfg.ensembles:
+        raise ValueError(f"ensembles is empty: {cfg.experiment} needs at least one ensemble")
     return record.driver(cfg)
 
 

@@ -42,6 +42,9 @@ NORM_MC_SAMPLES = 100_000
 # Largest power of the moment convolutions of diag_norm_moment: their cost is
 # O(dim k^2) time and O(k^2) memory for the k-th power.
 MOMENT_POWER_MAX = 256
+# Elements of the row-major block of steps that sample_bm draws, scales and
+# sums into the coordinate-major path at a time.
+SAMPLE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,13 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class PathSample:
-    """A path on the dyadic grid of a given depth, values shaped (2^N + 1, dim)."""
+    """A path on the dyadic grid of a given depth, values shaped (2^N + 1, dim).
+
+    ``values`` may have any memory layout.  :func:`sample_bm` returns the
+    transpose of a C-ordered ``(dim, 2^N + 1)`` array, so each coordinate's
+    path is contiguous; a path read from CSV is row-major.  The norms of
+    :mod:`besovbm.besov` give the same floats on both.
+    """
 
     space: SpaceSpec
     depth: int
@@ -112,18 +121,40 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
 
     Coordinate n of an increment over one grid step is N(0, 2^-N sigma_n^2);
     the returned values are exact in law at the grid points and start at 0.
-    The increments are drawn, scaled and summed in place in the output array.
+    The path is stored coordinate-major, ``(dim, 2^N + 1)`` in C order, and
+    ``values`` is its ``(2^N + 1, dim)`` transpose.  The increments are drawn
+    row-major, ``SAMPLE_BLOCK`` elements at a time from one stream (so the
+    draws are the same numbers as one whole draw), scaled, and summed along
+    each coordinate straight into the path.  Each block's first step is
+    added to the previous block's last column before the block's ``cumsum``,
+    which is the step that sum would take next; so the path holds the
+    floats of one ``cumsum`` over all the steps, signed zeros included.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [1, {MAX_DEPTH}]")
-    scale = padded_weights(space, sigma)
-    values = np.empty(((1 << depth) + 1, space.dim))
-    values[0] = 0.0
-    steps = values[1:]
-    seed.generator().standard_normal(out=steps)
-    steps *= scale * 2.0 ** (-depth / 2.0)
-    np.cumsum(steps, axis=0, out=steps)
-    return PathSample(space, depth, values)
+    scale = padded_weights(space, sigma) * 2.0 ** (-depth / 2.0)
+    steps = 1 << depth
+    coords = np.empty((space.dim, steps + 1))
+    coords[:, 0] = 0.0
+    gen = seed.generator()
+    if space.dim == 1:
+        # one coordinate: the steps are contiguous in both layouts
+        row = coords[0, 1:]
+        gen.standard_normal(out=row)
+        row *= scale
+        np.cumsum(row, out=row)
+    else:
+        rows = max(SAMPLE_BLOCK // space.dim, 1)
+        block = np.empty((min(rows, steps), space.dim))
+        for lo in range(0, steps, rows):
+            hi = min(lo + rows, steps)
+            draws = block[: hi - lo]
+            gen.standard_normal(out=draws)
+            draws *= scale
+            if lo:
+                draws[0] += coords[:, lo]  # the carry: the sum's next step
+            np.cumsum(draws.T, axis=1, out=coords[:, lo + 1 : hi + 1])
+    return PathSample(space, depth, coords.T)
 
 
 def _log_abs_moment(p: float) -> float:

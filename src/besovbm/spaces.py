@@ -123,11 +123,61 @@ def row_blocks(rows: int, dim: int):
         yield lo, min(lo + step, rows)
 
 
+def _pairwise_fold(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Sum of the columns ``lo .. lo + n - 1`` of ``terms`` in numpy's pairwise order.
+
+    numpy sums each row ``x`` of ``n`` items as follows: below 8 items, in
+    sequence; up to 128, into 8 accumulators ``r_j = x_j + x_(j+8) + ...``,
+    then ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    items past the last multiple of 8 in sequence; above 128, as the sum of
+    the two halves split at ``n / 2`` rounded down to a multiple of 8.  Here
+    each item is a whole column, so every step is one vector operation.  The
+    columns are folded in place into column ``lo``, which is returned.
+    """
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        left = _pairwise_fold(terms, lo, half)
+        left += _pairwise_fold(terms, lo + half, n - half)
+        return left
+    acc = terms[..., lo]
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            acc += terms[..., i]
+        return acc
+    stop = lo + n - n % 8
+    for i in range(lo + 8, stop, 8):
+        terms[..., lo : lo + 8] += terms[..., i : i + 8]
+    r = [terms[..., lo + j] for j in range(8)]
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for i in range(stop, lo + n):
+        acc += terms[..., i]
+    return acc
+
+
+def _coordinate_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``terms``, in numpy's order for contiguous rows.
+
+    Where the rows are contiguous numpy sums each row pairwise; where they
+    are not (a coordinate-major batch), its reduction runs down the
+    coordinates one by one, which gives other floats from 8 coordinates on.
+    There the columns are folded in the pairwise order instead, overwriting
+    ``terms``, so every layout gives the floats of contiguous rows.
+    """
+    if terms.ndim == 1 or terms.strides[-1] == terms.itemsize:
+        return terms.sum(axis=-1)
+    return _pairwise_fold(terms, 0, terms.shape[-1])
+
+
 def space_norm(space: SpaceSpec, v):
     """l^exponent norm of the coordinates.
 
     Accepts a single vector of length ``space.dim`` or a batch shaped
-    ``(..., dim)``; batches return an array of norms.
+    ``(..., dim)``; batches return an array of norms.  Every memory layout of
+    a batch gives the same floats as contiguous rows: row-major rows are
+    summed by numpy, and any other layout (a coordinate-major block, say)
+    by a fold over whole columns in numpy's own pairwise order.
 
     On one coordinate every l^q norm is ``|x|``, returned exactly.  For
     exponents 1 and inf that is the float the general formulas give; for 2
@@ -153,11 +203,11 @@ def space_norm(space: SpaceSpec, v):
         # exact, so the result has the same bits as the row max.
         out = np.abs(np.moveaxis(arr, -1, 0), order="C").max(axis=0)
     elif p == 1.0:
-        out = np.abs(arr).sum(axis=-1)
+        out = _coordinate_sums(np.abs(arr))
     elif p == 2.0:
-        out = np.sqrt((arr * arr).sum(axis=-1))
+        out = np.sqrt(_coordinate_sums(arr * arr))
     else:
-        out = (np.abs(arr) ** p).sum(axis=-1) ** (1.0 / p)
+        out = _coordinate_sums(np.abs(arr) ** p) ** (1.0 / p)
     return float(out) if out.ndim == 0 else out
 
 

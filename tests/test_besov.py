@@ -351,12 +351,34 @@ BLOCK_EXPONENTS = [1.0, 2.0, 3.0, math.inf]
 def test_row_norms_match_whole_array(dim, exponent):
     space = truncated_lp(exponent, dim)
     rows = 2 * NORM_BLOCK + 3  # a multiple of no block size
-    assert rows % max(NORM_BLOCK // dim, 1) != 0
+    assert rows % max(NORM_BLOCK // dim, besov.NORM_COLUMNS) != 0
     values = np.random.default_rng(dim).standard_normal((rows, dim))
-    assert np.array_equal(besov._row_norms(space, values), np.atleast_1d(space_norm(space, values)))
-    for shift in (1, 5, NORM_BLOCK + 1):
-        whole = space_norm(space, values[shift:] - values[:-shift])
-        assert np.array_equal(besov._row_norms(space, values, shift), whole)
+    # row-major, as read from CSV, and coordinate-major, as sample_bm stores it
+    for layout in (values, np.ascontiguousarray(values.T).T):
+        assert np.array_equal(besov._row_norms(space, layout), np.atleast_1d(space_norm(space, values)))
+        for shift in (1, 5, NORM_BLOCK + 1):
+            whole = space_norm(space, values[shift:] - values[:-shift])
+            assert np.array_equal(besov._row_norms(space, layout, shift), whole)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [SCALAR, truncated_lp(2.0, 16), truncated_lp(1.0, 17), truncated_lp(3.0, 9), truncated_lp(math.inf, 16)],
+    ids=lambda s: f"l{s.exponent:g}-dim{s.dim}",
+)
+def test_norms_same_on_a_row_major_copy_of_a_path(space):
+    # besov-norm --path-csv reads a path into a row-major array
+    path = sample_bm(space, tuple(0.8 ** np.arange(space.dim)), 13, RngSeed(7, 2))
+    copy = PathSample(space, path.depth, np.ascontiguousarray(path.values))
+    assert path.values.T.flags.c_contiguous and copy.values.flags.c_contiguous
+    for norm in (
+        lambda p: besov.integer_p_besov_totals(p, 0.5, 64),
+        lambda p: besov.integer_p_besov_totals(p, 0.5, 64, None, 2.0, 8),
+        lambda p: besov.luxemburg_function_norm(p, 2.0),
+    ):
+        assert np.asarray(norm(copy)).tobytes() == np.asarray(norm(path)).tobytes()
+    for params in (BesovParams(0.5, 2.0, math.inf, 7), BesovParams(0.4, 3.0, 2.0, 7)):
+        assert besov.besov_norm(copy, params) == besov.besov_norm(path, params)
 
 
 @pytest.mark.parametrize("dim", BLOCK_DIMS)
@@ -539,6 +561,7 @@ _NORM_ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
 @example(base=[0.0] * 7 + [1.0], exponent=0, c=8, p_max=128)  # a spike: the bound is exact
 @example(base=[0.0] * 8, exponent=0, c=8, p_max=64)
 @example(base=[3.0] * 16, exponent=300, c=1, p_max=128)  # a constant at the rescale
+@example(base=[0.0, 5e-324], exponent=0, c=1, p_max=8)  # ||f||_1 rounds to 0, ||f||_2 does not
 def test_lyapunov_bound_caps_every_later_lp_norm(base, exponent, c, p_max):
     norms = np.array(base) * 10.0**exponent
     weight = 2.0 ** -(len(base) - 1).bit_length()  # weight * len <= 1, equal at powers of two

@@ -438,6 +438,13 @@ def test_maximal_experiment_default_ensembles_pass():
     assert all(row.verdict for row in result.rows)
 
 
+def test_maximal_rejects_empty_ensembles(monkeypatch):
+    # an empty tuple used to give zero rows and "all verdicts pass"
+    monkeypatch.setattr(harness, "empirical_sup_mean", lambda *args: pytest.fail("ran an ensemble"))
+    with pytest.raises(ValueError, match="ensembles is empty: maximal needs at least one ensemble"):
+        harness.run(replace(harness.default_config("maximal"), ensembles=()))
+
+
 # --- reports --------------------------------------------------------------------
 
 

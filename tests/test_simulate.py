@@ -10,6 +10,7 @@ from besovbm.simulate import (
     RngSeed,
     diag_norm_moment,
     gaussian_abs_moment,
+    SAMPLE_BLOCK,
     mean_norm_mc,
     sample_bm,
 )
@@ -161,18 +162,25 @@ def test_seed_validation():
         RngSeed(3).child(0, 2**32)
 
 
-@pytest.mark.parametrize("dim", [1, 3, 16])
+@pytest.mark.parametrize("dim", [1, 3, 16, 17, 129])
 def test_sample_bm_matches_draw_then_cumsum(dim):
     space = truncated_lp(2.0, dim)
-    sigma = tuple(0.7 ** np.arange(dim))
+    # a zero weight past the first coordinate: its steps are signed zeros
+    sigma = tuple(0.7 ** np.arange(max(dim - 1, 1)))
     seed = RngSeed(20260808, 5)
-    depth = 12
-    # reference: a separate increments array, summed into the values
-    g = seed.generator().standard_normal((1 << depth, dim))
-    g *= np.asarray(sigma) * 2.0 ** (-depth / 2.0)
-    values = np.zeros(((1 << depth) + 1, dim))
-    np.cumsum(g, axis=0, out=values[1:])
-    assert np.array_equal(sample_bm(space, sigma, depth, seed).values, values)
+    # depth 1, and a depth at which a vector path's draw blocks split the
+    # grid; only at dim 16 do they divide it
+    for depth in (1, 16 if dim in (3, 16) else 12):
+        if dim > 1 and depth > 1:
+            assert SAMPLE_BLOCK // dim < 1 << depth  # more than one draw block
+        # reference: a separate row-major increments array, summed into the values
+        g = seed.generator().standard_normal((1 << depth, dim))
+        g *= np.pad(sigma, (0, dim - len(sigma))) * 2.0 ** (-depth / 2.0)
+        values = np.zeros(((1 << depth) + 1, dim))
+        np.cumsum(g, axis=0, out=values[1:])
+        path = sample_bm(space, sigma, depth, seed)
+        assert path.values.T.flags.c_contiguous  # stored coordinate-major
+        assert np.ascontiguousarray(path.values).tobytes() == values.tobytes()
 
 
 # --- exact moments of diagonal Gaussian norms -----------------------------------

@@ -75,6 +75,33 @@ def test_scalar_space_norm_matches_the_general_formula(q):
     assert got.tobytes() == want.tobytes()
 
 
+LAYOUT_DIMS = list(range(1, 41)) + [64, 127, 128, 129, 200, 257]
+
+
+@pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0, math.inf])
+def test_space_norm_same_bits_in_every_layout(exponent):
+    # numpy's own reduction of coordinate-major rows sums in another order
+    # from 8 coordinates on; every layout must give the row-major floats
+    rng = np.random.default_rng(int(exponent) if math.isfinite(exponent) else 0)
+    for dim in LAYOUT_DIMS:
+        space = truncated_lp(exponent, dim)
+        rows = rng.standard_normal((300, dim)) * np.exp(4.0 * rng.standard_normal((300, dim)))
+        want = space_norm(space, rows)
+        wide = np.empty((dim, 2 * rows.shape[0]))
+        wide[:, ::2] = rows.T
+        layouts = {
+            "fortran": np.asfortranarray(rows),
+            "strided transpose": wide[:, ::2].T,
+            "coordinate-major view": np.ascontiguousarray(rows.T).T,
+        }
+        for name, batch in layouts.items():
+            got = space_norm(space, batch)
+            assert got.tobytes() == want.tobytes(), (dim, name)
+        # one vector at a time, strided or not
+        strided = layouts["strided transpose"]
+        assert [space_norm(space, strided[k]) for k in range(5)] == [space_norm(space, rows[k]) for k in range(5)]
+
+
 def test_space_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         space_norm(finite_lq(3, 2.0), [1.0, 2.0])
