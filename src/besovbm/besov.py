@@ -11,8 +11,8 @@ The scale cap defaults to depth - 6 so that the difference-norm Riemann sum
 at the finest scale still averages at least 64 increments.  Exponents are
 checked by :func:`spaces.check_exponent`, the Orlicz sups by :func:`check_orlicz_sup`.
 
-Row norms are taken a block of rows at a time (``NORM_BLOCK`` elements, but
-at least ``NORM_COLUMNS`` rows) into one preallocated vector, so no
+Row norms are taken a block of rows at a time (``NORM_ELEMENTS`` elements,
+but at least ``NORM_ROWS`` rows) into one preallocated vector, so no
 path-sized temporary is ever allocated.  A sampled path is stored
 coordinate-major (see :func:`simulate.sample_bm`), so a block's differences
 are taken over contiguous columns, coordinate by coordinate, into one
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import orlicz
 from .simulate import PathSample
-from .spaces import NORM_BLOCK, check_exponent, space_norm
+from .spaces import check_exponent, space_norm
 
 __all__ = [
     "SCALE_MARGIN",
@@ -75,13 +75,16 @@ DEFAULT_P_MAX = 64
 # term and bound is off by about (p_max + log2 n) 2^-53, far below 1e-9.
 POWER_CAP = 8
 BOUND_SLACK = 1e-9
-# Least rows per space_norm call in _row_norms, which otherwise takes
-# NORM_BLOCK elements a call.  On a coordinate-major block space_norm makes a
-# few numpy calls per 8 coordinates, so the columns must be long: the ten
-# increment-norm vectors of a dim-16 depth-16 path took 23-27 ms in blocks of
-# 2^12 rows against 30-34 ms in blocks of 2^11 and 36-43 ms in blocks of 2^14
+# Rows per space_norm call in _row_norms: at least NORM_ROWS, and at least
+# NORM_ELEMENTS elements.  On a coordinate-major block space_norm makes a few
+# numpy calls per 8 coordinates, so the columns must be long, and at one or
+# two coordinates each call's fixed cost wants longer ones still.  The ten
+# increment-norm vectors of a depth-16 path took 15.3 ms at dim 16 in blocks
+# of 2^12 rows against 17.1-17.3 ms in 2^13 and 21.1-21.2 ms in 2^14, and
+# 1.95-1.96 ms at dim 1 in blocks of 2^14 rows against 2.29-2.36 ms in 2^12
 # (one thread, numpy 2.4).
-NORM_COLUMNS = 2**12
+NORM_ROWS = 2**12
+NORM_ELEMENTS = 2**14
 
 
 def default_n_max(depth: int) -> int:
@@ -117,6 +120,11 @@ class NormReport:
     per_scale: tuple  # pairs (n, 2^(n alpha) * difference norm)
 
 
+def _norm_rows(dim: int) -> int:
+    """Rows per :func:`spaces.space_norm` call in :func:`_row_norms`."""
+    return max(NORM_ELEMENTS // dim, NORM_ROWS)
+
+
 def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
     """Norms of the rows of ``values``, or of ``values[k + shift] - values[k]``.
 
@@ -127,7 +135,7 @@ def _row_norms(space, values: np.ndarray, shift: int = 0) -> np.ndarray:
     contiguous columns.
     """
     rows = values.shape[0] - shift
-    step = max(NORM_BLOCK // space.dim, NORM_COLUMNS)
+    step = _norm_rows(space.dim)
     out = np.empty(rows)
     coords = values.T
     # per call, not per module: the moments pool runs two calls at once

@@ -351,7 +351,7 @@ BLOCK_EXPONENTS = [1.0, 2.0, 3.0, math.inf]
 def test_row_norms_match_whole_array(dim, exponent):
     space = truncated_lp(exponent, dim)
     rows = 2 * NORM_BLOCK + 3  # a multiple of no block size
-    assert rows % max(NORM_BLOCK // dim, besov.NORM_COLUMNS) != 0
+    assert rows % besov._norm_rows(dim) != 0
     values = np.random.default_rng(dim).standard_normal((rows, dim))
     # row-major, as read from CSV, and coordinate-major, as sample_bm stores it
     for layout in (values, np.ascontiguousarray(values.T).T):

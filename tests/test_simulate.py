@@ -168,10 +168,10 @@ def test_sample_bm_matches_draw_then_cumsum(dim):
     # a zero weight past the first coordinate: its steps are signed zeros
     sigma = tuple(0.7 ** np.arange(max(dim - 1, 1)))
     seed = RngSeed(20260808, 5)
-    # depth 1, and a depth at which a vector path's draw blocks split the
-    # grid; only at dim 16 do they divide it
-    for depth in (1, 16 if dim in (3, 16) else 12):
-        if dim > 1 and depth > 1:
+    # depth 1, and a depth at which the draw blocks split the grid; only at
+    # dims 1 and 16 do they divide it
+    for depth in (1, 16 if dim in (1, 3, 16) else 12):
+        if depth > 1:
             assert SAMPLE_BLOCK // dim < 1 << depth  # more than one draw block
         # reference: a separate row-major increments array, summed into the values
         g = seed.generator().standard_normal((1 << depth, dim))
