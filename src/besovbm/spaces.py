@@ -37,7 +37,6 @@ __all__ = [
     "padded_weights",
     "scalar_weight",
     "NORM_BLOCK",
-    "ROW_SUM_DIM",
     "row_blocks",
     "space_norm",
     "dual_exponent",
@@ -115,12 +114,6 @@ def scalar_weight(sigma) -> float | None:
 # Elements per space_norm call of row_blocks (sampled_norms): small enough
 # that a block and its temporaries stay in cache.
 NORM_BLOCK = 2**14
-# Least length of contiguous rows that space_norm sums with numpy's row sum
-# rather than _pairwise_fold (the same floats).  On row-major blocks of
-# NORM_BLOCK elements the row sum took 118, 36, 29, 27 and 22 us at dims 2,
-# 8, 13, 14 and 16 against 5, 23, 28, 30 and 41 us for the fold, and 9
-# against 55 us at dim 64 (one thread, numpy 2.4).
-ROW_SUM_DIM = 14
 
 
 def row_blocks(rows: int, dim: int):
@@ -166,15 +159,18 @@ def _pairwise_fold(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
 def _coordinate_sums(terms: np.ndarray) -> np.ndarray:
     """Sums over the last axis of ``terms``, each the float of numpy's sum of that row.
 
-    A single vector, and a batch of contiguous rows of ``ROW_SUM_DIM`` or
-    more coordinates, are summed by numpy.  Every other batch is folded
-    column by column in numpy's pairwise order, overwriting ``terms``: where
-    the rows are not contiguous (a coordinate-major batch) numpy's own
-    reduction runs down the coordinates one by one, which gives other
-    floats from 8 coordinates on, and on shorter contiguous rows the fold
-    is the faster of the two.
+    A single vector and a batch of contiguous rows are summed by numpy.
+    Where the rows are not contiguous (a coordinate-major batch) numpy's
+    own reduction runs down the coordinates one by one, which gives other
+    floats from 8 coordinates on, so there the columns are folded in the
+    pairwise order instead, overwriting ``terms``.  The fold is not used on
+    contiguous rows: it makes numpy calls per column, and a row-major block
+    of ``NORM_BLOCK`` elements has short columns.  On such blocks it took
+    41 against 22 us for numpy's row sum at dim 16 and 55 against 9 us at
+    dim 64 (one thread, numpy 2.4), and its calls per block grow with the
+    dim while the columns shrink.
     """
-    if terms.ndim == 1 or (terms.shape[-1] >= ROW_SUM_DIM and terms.strides[-1] == terms.itemsize):
+    if terms.ndim == 1 or terms.strides[-1] == terms.itemsize:
         return terms.sum(axis=-1)
     return _pairwise_fold(terms, 0, terms.shape[-1])
 
@@ -184,10 +180,9 @@ def space_norm(space: SpaceSpec, v):
 
     Accepts a single vector of length ``space.dim`` or a batch shaped
     ``(..., dim)``; batches return an array of norms.  Every memory layout of
-    a batch gives the same floats as its rows taken one at a time: contiguous
-    rows of ``ROW_SUM_DIM`` or more coordinates are summed by numpy, and any
-    other batch (a coordinate-major block, say, or short rows) by a fold
-    over whole columns in numpy's own pairwise order.
+    a batch gives the same floats as contiguous rows: row-major rows are
+    summed by numpy, and any other layout (a coordinate-major block, say)
+    by a fold over whole columns in numpy's own pairwise order.
 
     On one coordinate every l^q norm is ``|x|``, returned exactly.  For
     exponents 1 and inf that is the float the general formulas give; for 2
