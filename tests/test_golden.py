@@ -1,6 +1,6 @@
-"""Golden report digests: the SHA-256 of each report CSV at two seeds, and of
-each ``json-text`` report (the only format that carries every row's ratio
-and lower bound) at one seed.
+"""Golden digests: the SHA-256 of each report CSV at two seeds, of each
+``json-text`` report (the only format that carries every row's ratio and
+lower bound) at one seed, and of the raw bytes of a few per-path arrays.
 
 Any change that alters a single byte of these reports (a kernel rewrite, a
 different summation order, a new stream layout) shows up here.  A change
@@ -10,9 +10,11 @@ that is meant to alter the reports must update the digests and say why.
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from besovbm import harness
+from besovbm import besov, harness
+from besovbm.simulate import RngSeed, sample_bm, sampled_norms
 from besovbm.spaces import truncated_lp
 
 # reduced sizes: paths per model, or the maximal experiment's supremum samples
@@ -86,3 +88,57 @@ def test_l1_increment_variance_digest(tmp_path, seed):
 
 def test_l1_increment_variance_digests_differ_across_seeds():
     assert len(set(L1_DIGESTS.values())) == len(L1_DIGESTS)
+
+
+# Per-path floats.  The report digests above pin means printed to 12
+# significant digits, which a change of summation order inside a kernel can
+# leave unmoved; these pin the raw bytes of single-path arrays.
+def _path_arrays():
+    seed = RngSeed(3)
+    sigma16 = tuple(0.7 ** np.arange(16))
+    scalar = sample_bm(truncated_lp(2.0, 1), (1.0,), 12, seed.child(0))
+    arrays = {"scalar values": scalar.values}
+    for q in (1.0, 2.0):
+        path = sample_bm(truncated_lp(q, 16), sigma16, 12, seed.child(1, int(q)))
+        arrays[f"l{q:g} dim-16 values"] = path.values
+        for n in range(1, 11):
+            arrays[f"l{q:g} increment norms n={n}"] = besov._increment_norms(path, n)
+        arrays[f"l{q:g} besov totals"] = besov.integer_p_besov_totals(path, 0.5, 64)
+    # five weights on eight coordinates: the padded weights are drawn too
+    arrays["l2 dim-8 sampled norms"] = sampled_norms(truncated_lp(2.0, 8), sigma16[:5], 5000, seed.child(2))
+    return arrays
+
+
+PATH_DIGESTS = {
+    "scalar values": "435f29ddc7ad0038388eca1885706a04a59267ff93559bd166de2a2a88087323",
+    "l1 dim-16 values": "bda99adac5b12c2c05a027cfa587ad61babebfa5f592eaf58c8ecad5c0658200",
+    "l1 increment norms n=1": "c19cdcdc317c4bb208cf017aea295efc995b8e9ba9718a615376109e70605e92",
+    "l1 increment norms n=2": "14fd5526e97bfcdf910c0a42706c32eea843a65f48c21b6b024863e45913e3ad",
+    "l1 increment norms n=3": "4b34416d94ccb4c44f4f35482be362e4cd7578f01aa97c05c2e0d97c04e96251",
+    "l1 increment norms n=4": "1a7abf2c8eed3c8d844aa29a3f9733f9c257f1af713c1a5749f6783915e37782",
+    "l1 increment norms n=5": "e7cdd6a3cabb2186fb9ddadb1ef5da64ec7f4a2ef2cb7811f38651d7a966c345",
+    "l1 increment norms n=6": "757cc6c0a57677b1569217d45a248e8a33404a7be190a9421428dcd8167b07bc",
+    "l1 increment norms n=7": "4d80d7f2514880805a7a95a4e48883b79c2145d75a48bd520c1fc66bef9fec49",
+    "l1 increment norms n=8": "18efb3b8a65c95fd13f7681ab5865fcfb3902a68b20601030a238c2bac2ff11a",
+    "l1 increment norms n=9": "b1a98abcb9dbc9825c9d9608da2eedc9ef7dce0c7b7cababaafc60dc41375a57",
+    "l1 increment norms n=10": "097f3642f95c0e96e4a0f208b3d27e1fd2b6ed32c2018d35e139b1a274b0cd09",
+    "l1 besov totals": "75f863806643b13497a7ea5a35157c490cb3bdcaedf3aea9f348d2d9fa54fde7",
+    "l2 dim-16 values": "a8ba76cc7ee4a5b12455ee5fbf743f37bd1044d19c106b1a5a1328b16f127d53",
+    "l2 increment norms n=1": "6f9d97155304ee1b5dc6ffa1343f15a2305fefba5673c95b3c1d6c1010041d5d",
+    "l2 increment norms n=2": "e730bfffc1c19db797956038aaaa170c321aa9054899e941de091336e2cbcf2d",
+    "l2 increment norms n=3": "1fd5b40e2a3546882dbef67b63b3038e432b42d32ed4a29464e400341421d645",
+    "l2 increment norms n=4": "a9feaf38410b7a15692a3b81abc0464d9ead58205e413a7ad8fd4bd9f72b2275",
+    "l2 increment norms n=5": "f9d99defaf3d896210eef0afd046f520ba875faf2183863f2870b9da64966274",
+    "l2 increment norms n=6": "a9a97a0fd6636def59117c0b15c21f4aa5dc6d40537baed764b6ebfd36b3d7b3",
+    "l2 increment norms n=7": "1f250005a8a31ea8f92781c9c2d0da249a28a0fc125e880e75939198d38637e3",
+    "l2 increment norms n=8": "2ed96eb13c8e7c9bcf206d27734503029ca0dbb1f241564dd3c636f85de4bd1f",
+    "l2 increment norms n=9": "95330a14c1897db9fe088f9045ee20fd981ba4deecf51bdb0bb9a75e4139c3b1",
+    "l2 increment norms n=10": "b4546ba211844651caeaf35b1db1bcc3b55f3c24f46b9f693e44c245837461f3",
+    "l2 besov totals": "c7d24352967ce7309e8ecab53ad7ee2171625c27a97c4c48a07f2730f7aa6c82",
+    "l2 dim-8 sampled norms": "fe00b552a0c368d25642e0643234f76abc76d2900d54ef35300d7cb9ee56fec5",
+}
+
+
+def test_per_path_array_digests():
+    got = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in _path_arrays().items()}
+    assert got == PATH_DIGESTS
