@@ -63,7 +63,7 @@ def write_path_csv(path: PathSample, out) -> None:
             handle.write(f"{k},{format(times[k], '.12g')},{coords}\n")
 
 
-def read_path_csv(source, kind="finite_lq", exponent=2.0, dim=None) -> PathSample:
+def read_path_csv(source, exponent=2.0, dim=None) -> PathSample:
     """Rebuild a PathSample from the k,t,coord_1..coord_d CSV format; d fixes the space's dim."""
     with open(source, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
@@ -71,7 +71,7 @@ def read_path_csv(source, kind="finite_lq", exponent=2.0, dim=None) -> PathSampl
             raise ValueError("path CSV must start with columns k,t")
         if dim not in (None, len(header) - 2):
             raise ValueError(f"the path CSV has {len(header) - 2} coordinate columns, not the space dimension {dim}")
-        space = SpaceSpec(kind, exponent, len(header) - 2)
+        space = SpaceSpec(exponent, len(header) - 2)
         rows = [line.strip().split(",") for line in handle if line.strip()]
     values = np.array([[float(c) for c in row[2:]] for row in rows])
     depth = (len(rows) - 1).bit_length() - 1
@@ -83,9 +83,9 @@ def read_path_csv(source, kind="finite_lq", exponent=2.0, dim=None) -> PathSampl
 def _cmd_besov_norm(args) -> int:
     exponent = parse_exponent(args.space_p)
     if args.path_csv:
-        path = read_path_csv(args.path_csv, args.space_kind, exponent, args.space_dim)
+        path = read_path_csv(args.path_csv, exponent, args.space_dim)
     else:
-        space = SpaceSpec(args.space_kind, exponent, 1 if args.space_dim is None else args.space_dim)
+        space = SpaceSpec(exponent, 1 if args.space_dim is None else args.space_dim)
         sigma = harness._parse_list(args.sigma, float)
         path = sample_bm(space, sigma, args.depth, RngSeed(args.seed, args.stream))
         if args.dump_path:
@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     bn.add_argument("--stream", type=int, default=1)
     bn.add_argument("--sigma", default="1.0")
-    bn.add_argument("--space-kind", choices=("finite_lq", "truncated_lp"), default="finite_lq")
     bn.add_argument("--space-p", default="2")
     bn.add_argument("--space-dim", type=int, default=None, help="1 when sampling; a CSV's header sets it")
     bn.add_argument("--per-scale-csv", help="write the per-scale weighted terms")

@@ -310,15 +310,16 @@ def parse_config_file(path) -> dict:
 
 
 def _space_from_mapping(mapping: dict, prefix: str, fallback: SpaceSpec) -> SpaceSpec:
+    # "space.kind" changes no number; it stays a checked label only because
+    # perfbench/workloads.py's tiny maximal config sets it (ROADMAP item 13).
     kind = mapping.get(prefix + "kind")
+    if kind not in (None, "finite_lq", "truncated_lp"):
+        raise ValueError(f"unknown space kind {kind!r}")
     p = mapping.get(prefix + "p")
     dim = mapping.get(prefix + "dim")
-    if kind is None and p is None and dim is None:
-        return fallback
     return SpaceSpec(
-        kind or fallback.kind,
-        parse_exponent(p) if p is not None else fallback.exponent,
-        int(dim) if dim is not None else fallback.dim,
+        fallback.exponent if p is None else parse_exponent(p),
+        fallback.dim if dim is None else int(dim),
     )
 
 

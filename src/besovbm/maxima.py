@@ -34,7 +34,7 @@ from .simulate import (
 )
 # ``space_norm`` is not called here; it stays because the benchmark tracer
 # (perfbench/spans.py) patches ``maxima.space_norm``.
-from .spaces import check_exponent, diag_weak_variance, space_norm  # noqa: F401
+from .spaces import check_exponent, iw_norm, space_norm  # noqa: F401
 
 __all__ = [
     "EstimateReport",
@@ -148,7 +148,7 @@ def empirical_sup_mean(ensemble: EnsembleSpec, samples: int, seed: RngSeed) -> E
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         m = max(pool.map(draws, range(len(variables)), variables))
     estimate, ci = mean_ci(sup)
-    sigmas = np.array([diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables])
+    sigmas = np.array([iw_norm(var.space, var.sigma) for var in variables])
     lower = lower_bound(m, sigmas)
     upper = upper_bound_mean(m, sigmas)
     return EstimateReport(estimate, ci, lower, upper, _verdict(estimate, ci, lower, upper))

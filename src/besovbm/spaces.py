@@ -1,24 +1,21 @@
 """Finite sequence-space models, dual nets, and diagonal weak variances.
 
-Two concrete Banach-space models are supported, both finite-dimensional
-coordinate spaces under an l^p norm:
+One space model: R^dim under an l^p norm, ``p in [1, inf]``, with its
+weights zero-padded to ``dim`` coordinates by :func:`padded_weights`.  Two
+constructor names build it, with their arguments in opposite order:
 
-* ``finite_lq(dim, q)`` -- R^dim with the l^q norm, ``q in [1, inf]``;
+* ``finite_lq(dim, q)`` -- R^dim with the l^q norm;
 * ``truncated_lp(p, dim)`` -- a D-dimensional truncation of the sequence
   space l^p, used for diagonal Gaussian vectors ``xi = sum_n sigma_n g_n e_n``
   whose weights vanish beyond the truncation.
 
-The two build the same norm (their arguments come in opposite order); no
-code branches on ``SpaceSpec.kind``, so the kind and the ``space.kind``
-config key only label a space.  :func:`check_exponent` is the one check
-that an exponent lies in ``[1, inf]``.
+:func:`check_exponent` is the one check that an exponent lies in ``[1, inf]``.
 
 Norming sequences of functionals are replaced by finite dual nets: the
 signed canonical coordinate functionals plus random directions normalised
 to unit dual norm.  Net density is validated empirically by the norm
 recovery checks in the test suite.
 """
-
 from __future__ import annotations
 
 import math
@@ -50,13 +47,10 @@ __all__ = [
 class SpaceSpec:
     """A coordinate space R^dim carrying the l^exponent norm."""
 
-    kind: str  # "finite_lq" or "truncated_lp"
     exponent: float  # in [1, inf]; math.inf selects the sup norm
     dim: int
 
     def __post_init__(self):
-        if self.kind not in ("finite_lq", "truncated_lp"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         check_exponent(self.exponent, "exponent")
@@ -77,12 +71,12 @@ def check_exponent(value: float, name: str = "p", finite: bool = False) -> None:
 
 def finite_lq(dim: int, q: float) -> SpaceSpec:
     """R^dim under the l^q norm."""
-    return SpaceSpec("finite_lq", float(q), int(dim))
+    return SpaceSpec(float(q), int(dim))
 
 
 def truncated_lp(p: float, dim: int) -> SpaceSpec:
     """D-dimensional truncation of the sequence space l^p."""
-    return SpaceSpec("truncated_lp", float(p), int(dim))
+    return SpaceSpec(float(p), int(dim))
 
 
 def padded_weights(space: SpaceSpec, sigma) -> np.ndarray:
@@ -159,18 +153,18 @@ def _pairwise_fold(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
 def _coordinate_sums(terms: np.ndarray) -> np.ndarray:
     """Sums over the last axis of ``terms``, each the float of numpy's sum of that row.
 
-    A single vector and a batch of contiguous rows are summed by numpy.
-    Where the rows are not contiguous (a coordinate-major batch) numpy's
-    own reduction runs down the coordinates one by one, which gives other
-    floats from 8 coordinates on, so there the columns are folded in the
-    pairwise order instead, overwriting ``terms``.  The fold is not used on
-    contiguous rows: it makes numpy calls per column, and a row-major block
-    of ``NORM_BLOCK`` elements has short columns.  On such blocks it took
-    41 against 22 us for numpy's row sum at dim 16 and 55 against 9 us at
-    dim 64 (one thread, numpy 2.4), and its calls per block grow with the
-    dim while the columns shrink.
+    Contiguous rows are summed by numpy.  Where the rows are not contiguous
+    (a coordinate-major batch) numpy's own reduction runs down the
+    coordinates one by one, which gives other floats from 8 coordinates on,
+    so there the columns are folded in the pairwise order instead,
+    overwriting ``terms``.  The fold is not used on contiguous rows: it
+    makes numpy calls per column, and a row-major block of ``NORM_BLOCK``
+    elements has short columns.  On such blocks it took 41 against 22 us
+    for numpy's row sum at dim 16 and 55 against 9 us at dim 64 (one
+    thread, numpy 2.4), and its calls per block grow with the dim while
+    the columns shrink.
     """
-    if terms.ndim == 1 or terms.strides[-1] == terms.itemsize:
+    if terms.strides[-1] == terms.itemsize:
         return terms.sum(axis=-1)
     return _pairwise_fold(terms, 0, terms.shape[-1])
 
@@ -182,7 +176,9 @@ def space_norm(space: SpaceSpec, v):
     ``(..., dim)``; batches return an array of norms.  Every memory layout of
     a batch gives the same floats as contiguous rows: row-major rows are
     summed by numpy, and any other layout (a coordinate-major block, say)
-    by a fold over whole columns in numpy's own pairwise order.
+    by a fold over whole columns in numpy's own pairwise order.  A single
+    vector is normed as a one-row batch (numpy's scalar power rounds
+    otherwise), so it gives the float of its row in any batch.
 
     On one coordinate every l^q norm is ``|x|``, returned exactly.  For
     exponents 1 and inf that is the float the general formulas give; for 2
@@ -193,6 +189,9 @@ def space_norm(space: SpaceSpec, v):
     arr = np.asarray(v, dtype=float)
     if arr.shape[-1] != space.dim:
         raise ValueError(f"vector has {arr.shape[-1]} coordinates, space has {space.dim}")
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None]
     p = space.exponent
     if space.dim == 1:
         out = np.abs(arr[..., 0])
@@ -213,7 +212,7 @@ def space_norm(space: SpaceSpec, v):
         out = np.sqrt(_coordinate_sums(arr * arr))
     else:
         out = _coordinate_sums(np.abs(arr) ** p) ** (1.0 / p)
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if single else out
 
 
 def dual_exponent(p: float) -> float:
@@ -269,7 +268,4 @@ def iw_norm(space: SpaceSpec, sigma) -> float:
     Equals the weak variance of ``W(1)`` in the ambient space, i.e.
     :func:`diag_weak_variance` at the space's exponent.
     """
-    w = as_weights(sigma)
-    if w.size > space.dim:
-        raise ValueError("sigma is longer than the space dimension")
-    return diag_weak_variance(space.exponent, w)
+    return diag_weak_variance(space.exponent, padded_weights(space, sigma))

@@ -79,10 +79,9 @@ def test_path_csv_takes_the_space_exponent(tmp_path, capsys, space_p):
     sampled = ("--depth", "8", "--seed", "7", "--sigma", "1,0.5", "--space-dim", "2", "--space-p", space_p)
     code, out_sampled, _ = run_cli(capsys, "besov-norm", *sampled, "--dump-path", str(dump))
     assert code == 0
-    for kind in ((), ("--space-kind", "truncated_lp")):
-        code, out_loaded, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump), "--space-p", space_p, *kind)
-        assert code == 0
-        assert json.loads(out_loaded) == json.loads(out_sampled)
+    code, out_loaded, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump), "--space-p", space_p)
+    assert code == 0
+    assert json.loads(out_loaded) == json.loads(out_sampled)
     code, out_l2, _ = run_cli(capsys, "besov-norm", "--path-csv", str(dump))
     assert code == 0
     assert json.loads(out_l2)["total"] != json.loads(out_sampled)["total"]

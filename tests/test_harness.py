@@ -45,8 +45,7 @@ def test_parse_config_text_roundtrip():
     out.format = csv,svg
     """
     cfg = harness.config_from_mapping("bm-limit", harness.parse_config_text(text))
-    assert cfg.space.kind == "truncated_lp" and math.isinf(cfg.space.exponent)
-    assert cfg.space.dim == 4
+    assert cfg.space == truncated_lp(math.inf, 4)
     assert cfg.sigma == (1.0, 0.5, 0.25)
     assert cfg.depth == 12 and cfg.scales == (5, 6)
     assert cfg.p_list == (1.0, 2.0)
@@ -177,6 +176,21 @@ def test_parse_ensemble_groups():
     assert len(spec.variables) == 7
     assert spec.variables[1].sigma == pytest.approx((0.45, 0.225, 0.09))
     assert configs[1].build().variables[0].space.dim == 1
+
+
+def test_space_kind_is_a_checked_label():
+    # every space is l^p on dim coordinates: either kind, at top level or in
+    # an ensemble group, gives the config without the key
+    flat = {"space.p": "1", "space.dim": "3"}
+    group = {"ensemble.a.space.p": "inf", "ensemble.a.space.dim": "2", "ensemble.a.sigma": "1,1"}
+    for kind in ("finite_lq", "truncated_lp"):
+        with_kind = {**flat, "space.kind": kind}
+        assert harness.config_from_mapping("bm-limit", with_kind) == harness.config_from_mapping("bm-limit", flat)
+        with_kind = {**group, "ensemble.a.space.kind": kind}
+        assert harness.config_from_mapping("maximal", with_kind) == harness.config_from_mapping("maximal", group)
+    for experiment, key in (("bm-limit", "space.kind"), ("maximal", "ensemble.a.space.kind")):
+        with pytest.raises(ValueError, match="unknown space kind 'bogus'"):
+            harness.config_from_mapping(experiment, {key: "bogus"})
 
 
 @pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
@@ -623,7 +637,7 @@ def test_maximal_lower_bounds_are_exact():
     for econf, row in zip(harness.default_ensembles(), result.rows):
         variables = econf.build().variables
         m = max(diag_norm_moment(var.space, var.sigma, 1) for var in variables)
-        sigmas = [diag_weak_variance(var.space.exponent, var.padded_sigma()) for var in variables]
+        sigmas = [diag_weak_variance(var.space.exponent, var.sigma) for var in variables]  # sigma fills dim
         assert row.lower == max(m, luxemburg_norm(theta(), sigmas) / 3.0), row.params
         assert row.lower - row.ci <= row.estimate <= row.reference + row.ci, row.params
 

@@ -78,11 +78,11 @@ def test_scalar_space_norm_matches_the_general_formula(q):
 LAYOUT_DIMS = list(range(1, 41)) + [64, 127, 128, 129, 200, 257]
 
 
-@pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("exponent", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_space_norm_same_bits_in_every_layout(exponent):
     # numpy's own reduction of coordinate-major rows sums in another order
-    # from 8 coordinates on; every layout must give the floats of numpy's
-    # row sum of a row-major batch
+    # from 8 coordinates on; every layout, and every single vector, must
+    # give the floats of numpy's row sum of a row-major batch
     rng = np.random.default_rng(int(exponent) if math.isfinite(exponent) else 0)
     for dim in LAYOUT_DIMS:
         space = truncated_lp(exponent, dim)
@@ -99,14 +99,20 @@ def test_space_norm_same_bits_in_every_layout(exponent):
         for name, batch in layouts.items():
             got = space_norm(space, batch)
             assert got.tobytes() == want.tobytes(), (dim, name)
-        # one vector at a time, strided or not
-        strided = layouts["strided transpose"]
-        assert [space_norm(space, strided[k]) for k in range(5)] == [space_norm(space, rows[k]) for k in range(5)]
+        # one vector at a time, strided or not: the float of its batch row
+        for name in ("row-major", "strided transpose"):
+            got = np.array([space_norm(space, row) for row in layouts[name]])
+            assert got.tobytes() == want.tobytes(), (dim, name, "single")
 
 
 def test_space_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         space_norm(finite_lq(3, 2.0), [1.0, 2.0])
+
+
+def test_both_constructors_build_one_space():
+    assert finite_lq(5, 1.5) == truncated_lp(1.5, 5)
+    assert finite_lq(2, math.inf) == truncated_lp(math.inf, 2)
 
 
 def test_space_validation():
