@@ -140,9 +140,9 @@ def sample_bm(space: SpaceSpec, sigma, depth: int, seed: RngSeed) -> PathSample:
     gen = seed.generator()
     rows = max(SAMPLE_BLOCK // space.dim, 1)
     # The draw block lives in this frame until the return: a generator that
-    # freed it before the PathSample was built gave the same floats but ran
-    # an in-process default bm-limit in 0.52-0.55 s against 0.44-0.51 s
-    # (6 of 6 back-to-back runs, best of three each, 2-vCPU host).
+    # freed it before the PathSample was built gave the same floats, but in
+    # one set of runs an in-process default bm-limit took 0.52-0.55 s against
+    # 0.44-0.51 s (6 of 6 back-to-back runs, best of three, 2-vCPU host).
     block = np.empty((min(rows, steps), space.dim))
     for lo in range(0, steps, rows):
         hi = min(lo + rows, steps)

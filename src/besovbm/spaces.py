@@ -16,6 +16,7 @@ signed canonical coordinate functionals plus random directions normalised
 to unit dual norm.  Net density is validated empirically by the norm
 recovery checks in the test suite.
 """
+
 from __future__ import annotations
 
 import math
@@ -153,16 +154,16 @@ def _pairwise_fold(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
 def _coordinate_sums(terms: np.ndarray) -> np.ndarray:
     """Sums over the last axis of ``terms``, each the float of numpy's sum of that row.
 
-    Contiguous rows are summed by numpy.  Where the rows are not contiguous
-    (a coordinate-major batch) numpy's own reduction runs down the
-    coordinates one by one, which gives other floats from 8 coordinates on,
-    so there the columns are folded in the pairwise order instead,
-    overwriting ``terms``.  The fold is not used on contiguous rows: it
-    makes numpy calls per column, and a row-major block of ``NORM_BLOCK``
-    elements has short columns.  On such blocks it took 41 against 22 us
-    for numpy's row sum at dim 16 and 55 against 9 us at dim 64 (one
-    thread, numpy 2.4), and its calls per block grow with the dim while
-    the columns shrink.
+    A batch of contiguous rows is summed by numpy.
+    Where the rows are not contiguous (a coordinate-major batch) numpy's
+    own reduction runs down the coordinates one by one, which gives other
+    floats from 8 coordinates on, so there the columns are folded in the
+    pairwise order instead, overwriting ``terms``.  The fold is not used on
+    contiguous rows: it makes numpy calls per column, and a row-major block
+    of ``NORM_BLOCK`` elements has short columns.  On such blocks it took
+    41 against 22 us for numpy's row sum at dim 16 and 55 against 9 us at
+    dim 64 (one thread, numpy 2.4), and its calls per block grow with the
+    dim while the columns shrink.
     """
     if terms.strides[-1] == terms.itemsize:
         return terms.sum(axis=-1)
